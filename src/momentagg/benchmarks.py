@@ -21,10 +21,11 @@ through a compressed ``.npz`` container.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
 
 from .chain import MarkovRewardProcess, ResourceLimitError, RowStochasticMatrix
 from .control import ControlledMdp
@@ -202,6 +203,10 @@ class JointReplenishmentMdp(ControlledMdp):
         nq1, nq2 = self._counts(i)
         return nq1 * nq2
 
+    def action_counts(self):
+        i1, i2 = np.divmod(np.arange(self.lattice.size), self._n2)
+        return (len(self._zvals[0]) - i1) * (len(self._zvals[1]) - i2)
+
     def action_quantities(self, i, a):
         """Decode action id to the order pair (q1, q2)."""
         _, nq2 = self._counts(i)
@@ -230,6 +235,26 @@ class JointReplenishmentMdp(ControlledMdp):
         return cols, probs  # clamped duplicates are summed downstream
 
     # -- vectorized sweeps ------------------------------------------------------
+
+    def kernel_rows_at(self, indices, actions):
+        # the rows of kernel_row, stacked: entries stay in its (d1-major,
+        # d2-minor) order, so clamped duplicates are summed in the same order
+        indices = np.asarray(indices, dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
+        self.check_actions(indices, actions)
+        i1, i2 = np.divmod(indices, self._n2)
+        q1, q2 = np.divmod(actions, len(self._zvals[1]) - i2)
+        c1 = self._nidx[0][:, i1 + q1].T
+        c2 = self._nidx[1][:, i2 + q2].T
+        cols = (c1[:, :, None] * self._n2 + c2[:, None, :]).reshape(len(indices), -1)
+        probs = (self._dprob[0][:, None] * self._dprob[1][None, :]).ravel()
+        rows = np.repeat(np.arange(len(indices)), probs.size)
+        return RowStochasticMatrix.from_coo(
+            rows,
+            cols.ravel(),
+            np.tile(probs, len(indices)),
+            (len(indices), self.lattice.size),
+        )
 
     def _expected_next(self, W):
         """E_d[W(clamped z - d)] over the whole post-order block."""
@@ -398,19 +423,47 @@ def _ward_matrix(cap, beds, p_serve, lam):
     return T
 
 
+@dataclass(frozen=True)
+class ActionTable:
+    """Every (state, action) pair of a hospital instance, in CSR form.
+
+    The actions of state i are the ``counts[i]`` pairs
+    ``indptr[i]:indptr[i + 1]``, in action-id order.  Pair p routes
+    ``routes[p, t]`` patients along the t-th off-diagonal ward pair
+    (row-major), lands on the post-routing occupancy with flat index
+    ``posts[p]`` and costs ``costs[p]``.  All arrays are read-only.
+    """
+
+    indptr: np.ndarray
+    counts: np.ndarray
+    routes: np.ndarray
+    posts: np.ndarray
+    costs: np.ndarray
+
+
+def _ragged_arange(starts, counts):
+    """Concatenation of ``arange(s, s + k)`` over the pairs (s, k)."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(np.sum(counts)))
+
+
 class HospitalOverflowMdp(ControlledMdp):
     """Overflow routing as a controlled MDP on the occupancy lattice.
 
     Actions are integer routing matrices u (zero diagonal) satisfying
     row sums <= (x_i - beds_i)+ (patients actually waiting) and column
-    sums <= (beds_j - x_j)+ (free beds).  They are enumerated depth-first
-    in row-major entry order with values ascending, so action id 0 is
-    "route nobody" and ids are reproducible.
+    sums <= (beds_j - x_j)+ (free beds).  They are enumerated in
+    row-major entry order with values ascending (the first entry varies
+    slowest), so action id 0 is "route nobody" and ids are reproducible.
 
-    Given the post-routing occupancy, wards evolve independently, so all
-    expectations factorize into per-ward 1-D transition matrices; greedy
-    sweeps and induced-chain products run as tensor contractions without
-    materializing the N x N kernel.
+    An action only picks a post-routing occupancy, so one
+    :class:`ActionTable` of (post index, cost) pairs per state carries
+    everything greedy sweeps and kernel assembly need.  It is built on
+    first use, once, for all states.  Given the post-routing occupancy,
+    wards evolve independently, so all expectations factorize into
+    per-ward 1-D transition matrices; greedy sweeps and induced-chain
+    products run as tensor contractions without materializing the N x N
+    kernel.
     """
 
     def __init__(self, params):
@@ -425,68 +478,160 @@ class HospitalOverflowMdp(ControlledMdp):
             for j in range(J)
         ]
         self._pairs = [(i, j) for i in range(J) for j in range(J) if i != j]
-        self._cache = {}
+        self._table = None
+        self._table_lock = threading.Lock()
 
-    # -- action enumeration ----------------------------------------------------
+    # -- action table ------------------------------------------------------------
 
-    def _actions(self, i):
-        """Cached (routing matrices, post-action flat indices, costs)."""
-        hit = self._cache.get(int(i))
-        if hit is not None:
-            return hit
-        x = self.lattice.to_coords(int(i))
+    @property
+    def table(self):
+        """The :class:`ActionTable`, built on first access (thread-safe)."""
+        table = self._table
+        if table is None:
+            with self._table_lock:
+                if self._table is None:
+                    self._table = self._build_table()
+                table = self._table
+        return table
+
+    def _build_table(self):
+        n = self.lattice.size
+        x = self.lattice.to_coords(np.arange(n))
         beds = np.asarray(self.params.beds)
-        supply = np.maximum(x - beds, 0)
-        space = np.maximum(beds - x, 0)
-        moves = []
-        current = np.zeros((self.J, self.J), dtype=np.int64)
+        supply = np.maximum(x - beds, 0)  # waiting patients not yet routed
+        space = np.maximum(beds - x, 0)  # free beds not yet taken
+        # expand every partial action by the values of one more entry; each
+        # expansion keeps the parents' order and lists values ascending
+        parents, values = [], []
+        for a, b in self._pairs:
+            counts = np.minimum(supply[:, a], space[:, b]) + 1
+            src = np.repeat(np.arange(len(counts)), counts)
+            v = _ragged_arange(np.zeros_like(counts), counts)
+            supply, space = supply[src], space[src]
+            supply[:, a] -= v
+            space[:, b] -= v
+            parents.append(src)
+            values.append(v)
+        # walk each complete action back through its partials to its state
+        routes = np.empty((len(supply), len(self._pairs)), dtype=np.int64)
+        owner = np.arange(len(supply))
+        for t in reversed(range(len(self._pairs))):
+            routes[:, t] = values[t][owner]
+            owner = parents[t][owner]
+        x = x[owner]
+        out, inc = np.zeros_like(x), np.zeros_like(x)
+        for t, (a, b) in enumerate(self._pairs):
+            out[:, a] += routes[:, t]
+            inc[:, b] += routes[:, t]
+        B = np.asarray(self.params.overflow, dtype=np.float64)
+        H = np.asarray(self.params.holding, dtype=np.float64)
+        pair_cost = np.array([B[a, b] for a, b in self._pairs])
+        # elementwise sums, not matmuls: BLAS may round a pair's dot product
+        # differently depending on how many pairs share the call
+        costs = np.sum(routes * pair_cost, axis=1) + np.sum(
+            np.maximum(x - out - beds, 0) * H, axis=1
+        )
+        counts = np.bincount(owner, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        table = ActionTable(
+            indptr=indptr,
+            counts=counts,
+            routes=routes,
+            posts=self.lattice.to_index(x - out + inc),
+            costs=costs,
+        )
+        for arr in vars(table).values():
+            arr.setflags(write=False)
+        return table
 
-        def rec(t, sup, spa):
-            if t == len(self._pairs):
-                moves.append(current.copy())
-                return
-            a, b = self._pairs[t]
-            top = min(sup[a], spa[b])
-            for v in range(top + 1):
-                current[a, b] = v
-                sup[a] -= v
-                spa[b] -= v
-                rec(t + 1, sup, spa)
-                sup[a] += v
-                spa[b] += v
-            current[a, b] = 0
+    def _pair_ids(self, indices, actions):
+        """Table rows of the (state, action) pairs; infeasible ones raise."""
+        indices = np.asarray(indices, dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
+        self.check_actions(indices, actions)
+        return self.table.indptr[indices] + actions
 
-        rec(0, supply.copy(), space.copy())
-        B = np.asarray(self.params.overflow)
-        H = np.asarray(self.params.holding)
-        moves = np.stack(moves)
-        out = moves.sum(axis=2)
-        posts = self.lattice.to_index(x[None, :] - out + moves.sum(axis=1))
-        costs = np.sum(B[None] * moves, axis=(1, 2)) + np.maximum(
-            x[None, :] - out - beds[None, :], 0
-        ) @ H
-        entry = (moves, np.asarray(posts, dtype=np.int64), costs.astype(np.float64))
-        self._cache[int(i)] = entry
-        return entry
+    def action_counts(self):
+        return self.table.counts
 
     def n_actions(self, i):
-        return len(self._actions(i)[0])
+        return int(self.table.counts[i])
+
+    def _actions(self, i):
+        """(routing matrices, post-action flat indices, costs) of state i."""
+        t = self.table
+        lo, hi = t.indptr[i], t.indptr[i + 1]
+        moves = np.zeros((hi - lo, self.J, self.J), dtype=np.int64)
+        for k, (a, b) in enumerate(self._pairs):
+            moves[:, a, b] = t.routes[lo:hi, k]
+        return moves, t.posts[lo:hi], t.costs[lo:hi]
 
     def routing_matrix(self, i, a):
         """Decode action id to its routing matrix."""
         return self._actions(i)[0][int(a)]
 
     def action_cost(self, i, a):
-        return float(self._actions(i)[2][int(a)])
+        return float(self.table.costs[self._pair_ids([i], [a])[0]])
 
     def kernel_row(self, i, a):
-        post = self.lattice.to_coords(int(self._actions(i)[1][int(a)]))
-        row = self.T[0][post[0]]
-        for j in range(1, self.J):
-            row = np.multiply.outer(row, self.T[j][post[j]])
-        row = row.ravel()
-        nz = np.flatnonzero(row)
-        return nz, row[nz]
+        post = self.table.posts[self._pair_ids([i], [a])]
+        probs, cols, _ = self._post_rows(post)
+        return cols, probs
+
+    # -- gathers over the table -------------------------------------------------
+
+    def _post_rows(self, posts):
+        """CSR arrays (data, indices, indptr) of the rows ⊗_j T_j[w_j] at the
+        post-routing occupancies w = ``posts``.
+
+        Each row keeps exactly the nonzero entries of the outer product,
+        in its row-major order, so columns ascend without duplicates.
+        """
+        w = self.lattice.to_coords(np.asarray(posts, dtype=np.int64))
+        # 32-bit columns when they fit (scipy would downcast them anyway)
+        itype = np.int32 if self.lattice.size < 2**31 else np.int64
+        cols = np.zeros(len(w), dtype=itype)  # partial column per entry
+        vals = np.ones(len(w))
+        sizes = np.ones(len(w), dtype=np.int64)  # entries per row so far
+        for j, T in enumerate(self.T):
+            # each entry expands over the span of T_j[w_j] from its first to
+            # its last nonzero column; zeros inside the span go at the end
+            n_j = T.shape[1]
+            nz = T != 0
+            lo = np.argmax(nz, axis=1)
+            width = n_j - np.argmax(nz[:, ::-1], axis=1) - lo
+            wj = np.repeat(w[:, j], sizes)
+            k = width[wj]
+            shift = lo[wj] - (np.cumsum(k) - k)
+            ar = np.arange(int(k.sum()), dtype=itype)
+            cols = np.repeat((cols * n_j + shift).astype(itype), k)
+            cols += ar
+            t_idx = np.repeat((wj * n_j + shift).astype(itype), k)
+            t_idx += ar
+            del ar
+            t_val = T.ravel()[t_idx]
+            del t_idx
+            t_val *= np.repeat(vals, k)
+            vals = t_val
+            sizes *= width[w[:, j]]
+        indptr = np.zeros(len(w) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        keep = vals != 0.0
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            cols, vals = cols[keep], vals[keep]
+        return vals, cols, indptr
+
+    def kernel_rows_at(self, indices, actions):
+        posts = self.table.posts[self._pair_ids(indices, actions)]
+        M = sparse.csr_matrix(
+            self._post_rows(posts), shape=(len(posts), self.lattice.size)
+        )
+        return RowStochasticMatrix(M)
+
+    def costs_at(self, indices, actions):
+        return self.table.costs[self._pair_ids(indices, actions)]
 
     # -- tensor-contraction sweeps ----------------------------------------------
 
@@ -498,27 +643,22 @@ class HospitalOverflowMdp(ControlledMdp):
         return E
 
     def greedy_at(self, indices, W):
+        t = self.table
+        indices = np.asarray(indices, dtype=np.int64)
+        counts = t.counts[indices]
+        sel = _ragged_arange(t.indptr[indices], counts)
         EW = self._contract(W).ravel()
-        alpha = self.discount
-        actions = np.zeros(len(indices), dtype=np.int64)
-        qvals = np.empty(len(indices))
-        for k, i in enumerate(np.asarray(indices)):
-            _, posts, costs = self._actions(int(i))
-            q = costs + alpha * EW[posts]
-            a = int(np.argmin(q))
-            actions[k] = a
-            qvals[k] = q[a]
-        return actions, qvals
+        q = t.costs[sel] + self.discount * EW[t.posts[sel]]
+        # segment argmin keeping the first minimum (the lowest action id)
+        seg = np.cumsum(counts) - counts
+        qmin = np.minimum.reduceat(q, seg)
+        pos = np.where(q == np.repeat(qmin, counts), np.arange(len(q)), len(q))
+        first = np.minimum.reduceat(pos, seg)
+        return first - seg, q[first]
 
     def _policy_posts(self, policy):
-        n = self.lattice.size
-        posts = np.empty(n, dtype=np.int64)
-        costs = np.empty(n)
-        for i in range(n):
-            _, p, c = self._actions(i)
-            a = int(policy[i])
-            posts[i], costs[i] = p[a], c[a]
-        return posts, costs
+        pairs = self._pair_ids(np.arange(self.lattice.size), policy)
+        return self.table.posts[pairs], self.table.costs[pairs]
 
     def induced_apply(self, policy):
         posts, costs = self._policy_posts(policy)
@@ -532,18 +672,10 @@ class HospitalOverflowMdp(ControlledMdp):
         n = self.lattice.size
         if n * n > 40_000_000:
             raise ResourceLimitError(
-                f"materializing the induced kernel needs a dense {n}x{n} pass; "
-                "use induced_apply instead"
+                f"materializing the induced kernel of {n} states needs up to "
+                f"{n}x{n} entries; use induced_apply instead"
             )
-        posts, costs = self._policy_posts(policy)
-        rows = np.empty((n, n))
-        for i in range(n):
-            post = self.lattice.to_coords(int(posts[i]))
-            row = self.T[0][post[0]]
-            for j in range(1, self.J):
-                row = np.multiply.outer(row, self.T[j][post[j]])
-            rows[i] = row.ravel()
-        return RowStochasticMatrix(rows), costs
+        return super().induced(policy)
 
 
 def build_hospital(params):
@@ -637,8 +769,6 @@ def save_mrp(path, mrp):
 
 def load_mrp(path):
     """Read a process back from ``save_mrp`` output."""
-    from scipy import sparse
-
     with np.load(path) as z:
         lattice = StateLattice(z["lower"], z["upper"])
         n = lattice.size

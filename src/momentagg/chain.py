@@ -254,10 +254,10 @@ _KRYLOV_TOL_KW = (
 def _krylov(method, A, b, x0, atol, maxiter):
     kwargs = {_KRYLOV_TOL_KW: 1e-14, "atol": atol, "maxiter": maxiter}
     try:
-        x, info = method(A, b, x0=x0, **kwargs)
-    except Exception:
+        x, _ = method(A, b, x0=x0, **kwargs)
+    except (ArithmeticError, ValueError):  # np.linalg.LinAlgError is a ValueError
         return None
-    return x if info == 0 else x
+    return x
 
 
 def solve_discounted(P, c, alpha, *, tol=1e-10, maxiter=20000):

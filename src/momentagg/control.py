@@ -71,6 +71,24 @@ class ControlledMdp:
 
     # -- bulk operations (override for speed) --------------------------------
 
+    def action_counts(self):
+        """Number of actions of every state, in flat-index order."""
+        return np.array(
+            [self.n_actions(i) for i in range(self.lattice.size)], dtype=np.int64
+        )
+
+    def check_actions(self, indices, actions):
+        """Raise ValueError naming the first state whose action is not one
+        of its action ids."""
+        indices = np.asarray(indices, dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
+        bad = np.flatnonzero(
+            (actions < 0) | (actions >= self.action_counts()[indices])
+        )
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"action {actions[k]} infeasible in state {indices[k]}")
+
     def greedy_at(self, indices, W):
         """argmin_a c(x,a) + alpha * sum_y p^a(x,y) W(y) at the given states.
 
@@ -134,9 +152,7 @@ def _full_policy(mdp, policy):
     policy = np.asarray(policy, dtype=np.int64)
     if policy.shape != (n,):
         raise ValueError(f"policy must assign an action to each of {n} states")
-    for i in range(n):
-        if not (0 <= policy[i] < mdp.n_actions(i)):
-            raise ValueError(f"action {policy[i]} infeasible in state {i}")
+    mdp.check_actions(np.arange(n), policy)
     return policy
 
 
@@ -316,9 +332,7 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
         policy_bar = np.asarray(policy0, dtype=np.int64)
         if policy_bar.shape != (L,):
             raise ValueError(f"restricted policy must have length {L}")
-        for k, i in enumerate(reps):
-            if not (0 <= policy_bar[k] < mdp.n_actions(int(i))):
-                raise ValueError(f"action {policy_bar[k]} infeasible at state {i}")
+        mdp.check_actions(reps, policy_bar)
     alpha = mdp.discount
     G = scheme.G
     times = {"compute_P": [], "evaluation": [], "update": []}

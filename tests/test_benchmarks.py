@@ -184,6 +184,23 @@ def test_jrp_greedy_matches_generic_sweep():
     assert_allclose(qvals, ref_qvals, atol=1e-9)
 
 
+@pytest.mark.parametrize("widen", [False, True])
+def test_jrp_kernel_rows_at_matches_generic_rows(widen):
+    # same COO entries in the same order, so duplicates sum bit for bit
+    mdp = _jrp_tiny(widen)
+    rng = np.random.default_rng(13)
+    idx = rng.integers(0, mdp.lattice.size, 60)
+    actions = np.array([rng.integers(0, mdp.n_actions(i)) for i in idx])
+    P = mdp.kernel_rows_at(idx, actions).csr
+    P_ref = ControlledMdp.kernel_rows_at(mdp, idx, actions).csr
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(P, name), getattr(P_ref, name))
+    assert np.array_equal(mdp.action_counts(), ControlledMdp.action_counts(mdp))
+    actions[7] = mdp.n_actions(int(idx[7]))
+    with pytest.raises(ValueError, match=f"infeasible in state {idx[7]}"):
+        mdp.kernel_rows_at(idx, actions)
+
+
 def test_jrp_induced_matches_generic():
     mdp = _jrp_tiny()
     rng = np.random.default_rng(10)

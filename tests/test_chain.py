@@ -194,6 +194,23 @@ def test_solve_discounted_rejects_bad_discount():
         solve_discounted(np.eye(2), np.ones(2), 1.5)
 
 
+def test_solve_discounted_propagates_operator_bugs():
+    # a faulty operator is a bug, not a numerical failure: it must surface
+    # from the first product instead of being retried by later solver stages
+    # (scipy probes the operator's dtype with a zero vector first)
+    calls = []
+
+    def broken(v):
+        if not np.any(v):
+            return v
+        calls.append(1)
+        raise IndexError("index 5 is out of bounds")
+
+    with pytest.raises(IndexError):
+        solve_discounted(broken, np.ones(5), 0.9)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # moments and jumps
 # ---------------------------------------------------------------------------

@@ -1,0 +1,303 @@
+"""The hospital action table against the per-state code it replaced.
+
+The recursive depth-first enumeration, the per-state greedy loop and the
+dense outer-product kernel rows below are the slow paths the table-based
+``HospitalOverflowMdp`` replaced; they are kept here as oracles, and the
+fast paths must match them exactly (actions, posts, costs, q-values and
+the CSR arrays of stacked kernel rows).
+"""
+
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from momentagg.benchmarks import (
+    HospitalOverflowMdp,
+    HospitalParams,
+    build_hospital,
+    hospital_2ward,
+    hospital_3ward,
+    hospital_4ward,
+)
+from momentagg.chain import RowStochasticMatrix
+from momentagg.control import _greedy
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-state paths
+# ---------------------------------------------------------------------------
+
+def recursive_actions(mdp, i):
+    """(routing matrices, post-action flat indices, costs) of state i by
+    depth-first recursion over the off-diagonal entries, values ascending."""
+    pairs = mdp._pairs
+    x = mdp.lattice.to_coords(int(i))
+    beds = np.asarray(mdp.params.beds)
+    supply = np.maximum(x - beds, 0)
+    space = np.maximum(beds - x, 0)
+    moves = []
+    current = np.zeros((mdp.J, mdp.J), dtype=np.int64)
+
+    def rec(t, sup, spa):
+        if t == len(pairs):
+            moves.append(current.copy())
+            return
+        a, b = pairs[t]
+        top = min(sup[a], spa[b])
+        for v in range(top + 1):
+            current[a, b] = v
+            sup[a] -= v
+            spa[b] -= v
+            rec(t + 1, sup, spa)
+            sup[a] += v
+            spa[b] += v
+        current[a, b] = 0
+
+    rec(0, supply.copy(), space.copy())
+    B = np.asarray(mdp.params.overflow)
+    H = np.asarray(mdp.params.holding)
+    moves = np.stack(moves)
+    out = moves.sum(axis=2)
+    posts = mdp.lattice.to_index(x[None, :] - out + moves.sum(axis=1))
+    costs = np.sum(B[None] * moves, axis=(1, 2)) + np.maximum(
+        x[None, :] - out - beds[None, :], 0
+    ) @ H
+    return moves, np.asarray(posts, dtype=np.int64), costs.astype(np.float64)
+
+
+def oracle_table(mdp, states):
+    return {int(i): recursive_actions(mdp, i) for i in states}
+
+
+def loop_greedy(mdp, table, indices, W):
+    """Per-state greedy: one argmin over each state's actions."""
+    EW = mdp._contract(W).ravel()
+    actions = np.zeros(len(indices), dtype=np.int64)
+    qvals = np.empty(len(indices))
+    for k, i in enumerate(indices):
+        _, posts, costs = table[int(i)]
+        q = costs + mdp.discount * EW[posts]
+        a = int(np.argmin(q))
+        actions[k] = a
+        qvals[k] = q[a]
+    return actions, qvals
+
+
+def dense_kernel_row(mdp, post):
+    """Nonzeros of the raveled outer product of the ward rows at ``post``."""
+    w = mdp.lattice.to_coords(int(post))
+    row = mdp.T[0][w[0]]
+    for j in range(1, mdp.J):
+        row = np.multiply.outer(row, mdp.T[j][w[j]])
+    row = row.ravel()
+    nz = np.flatnonzero(row)
+    return nz, row[nz]
+
+
+def stacked_rows(mdp, table, indices, actions):
+    entries = [
+        dense_kernel_row(mdp, table[int(i)][1][int(a)])
+        for i, a in zip(indices, actions)
+    ]
+    return RowStochasticMatrix.from_rows(entries, mdp.lattice.size)
+
+
+def assert_same_csr(got, expect):
+    a, b = got.csr, expect.csr
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+def assert_table_matches(mdp, table):
+    for i, (moves, posts, costs) in table.items():
+        got_moves, got_posts, got_costs = mdp._actions(i)
+        assert mdp.n_actions(i) == len(moves)
+        assert np.array_equal(got_moves, moves), i
+        assert np.array_equal(got_posts, posts), i
+        assert np.array_equal(got_costs, costs), i
+
+
+def random_actions(rng, mdp, indices):
+    counts = mdp.action_counts()[indices]
+    return (rng.random(len(indices)) * counts).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# benchmark instances
+# ---------------------------------------------------------------------------
+
+INSTANCES = {
+    "hospital2": (hospital_2ward, 1),
+    "hospital3": (hospital_3ward, 1),
+    "hospital4": (hospital_4ward, 13),  # every 13th state
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INSTANCES))
+def instance(request):
+    make, stride = INSTANCES[request.param]
+    mdp = build_hospital(make())
+    states = np.arange(0, mdp.lattice.size, stride)
+    return mdp, states, oracle_table(mdp, states)
+
+
+def test_table_matches_recursive_enumeration(instance):
+    mdp, states, table = instance
+    assert_table_matches(mdp, table)
+    if len(states) == mdp.lattice.size:
+        assert mdp.table.indptr[-1] == sum(len(t[0]) for t in table.values())
+
+
+def test_greedy_matches_per_state_loop(instance):
+    mdp, states, table = instance
+    rng = np.random.default_rng(21)
+    n = mdp.lattice.size
+    for W in (
+        rng.random(n) * 500.0,
+        np.zeros(n),
+        rng.integers(0, 4, n).astype(np.float64),  # many exact ties
+    ):
+        actions, qvals = mdp.greedy_at(states, W)
+        ref_actions, ref_qvals = loop_greedy(mdp, table, states, W)
+        assert np.array_equal(actions, ref_actions)
+        assert np.array_equal(qvals, ref_qvals)
+
+
+def test_kernel_rows_and_costs_match_per_state_rows(instance):
+    mdp, states, table = instance
+    rng = np.random.default_rng(22)
+    idx = rng.choice(states, size=min(300, len(states)), replace=False)
+    idx = np.sort(idx)[::-1]  # any order, not just ascending
+    actions = random_actions(rng, mdp, idx)
+    assert_same_csr(mdp.kernel_rows_at(idx, actions), stacked_rows(mdp, table, idx, actions))
+    expect = np.array([table[int(i)][2][int(a)] for i, a in zip(idx, actions)])
+    assert np.array_equal(mdp.costs_at(idx, actions), expect)
+
+
+def test_induced_matches_dense_rows():
+    mdp = build_hospital(hospital_2ward())
+    n = mdp.lattice.size
+    table = oracle_table(mdp, range(n))
+    policy = random_actions(np.random.default_rng(23), mdp, np.arange(n))
+    P, c = mdp.induced(policy)
+    dense = np.stack([
+        np.multiply.outer(mdp.T[0][w[0]], mdp.T[1][w[1]]).ravel()
+        for w in mdp.lattice.to_coords(np.array([table[i][1][a] for i, a in enumerate(policy)]))
+    ])
+    assert_same_csr(P, RowStochasticMatrix(dense))
+    assert np.array_equal(c, np.array([table[i][2][a] for i, a in enumerate(policy)]))
+
+
+def test_greedy_threads_agree_and_table_built_once():
+    ref = build_hospital(hospital_3ward())
+    W = np.random.default_rng(24).integers(0, 3, ref.lattice.size).astype(np.float64)
+    idx = np.arange(ref.lattice.size)
+    expect = _greedy(ref, idx, W)
+
+    mdp = build_hospital(hospital_3ward())
+    mdp.threads = 4
+    builds = []
+    build = mdp._build_table
+    started = threading.Barrier(2, timeout=10)
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    def racing_greedy(indices, W):
+        try:  # make two workers ask for the table at the same moment
+            started.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return HospitalOverflowMdp.greedy_at(mdp, indices, W)
+
+    mdp._build_table = counted_build
+    mdp.greedy_at = racing_greedy
+    actions, qvals = _greedy(mdp, idx, W)
+    assert len(builds) == 1
+    assert np.array_equal(actions, expect[0])
+    assert np.array_equal(qvals, expect[1])
+
+
+def test_table_is_built_on_first_use():
+    mdp = build_hospital(hospital_2ward())
+    assert mdp._table is None
+    mdp.n_actions(0)
+    assert mdp._table is not None
+
+
+@pytest.mark.parametrize("bad", [-1, "count"])
+def test_infeasible_action_raises(bad):
+    mdp = build_hospital(hospital_2ward())
+    i = mdp.lattice.to_index((20, 3))
+    a = mdp.n_actions(i) if bad == "count" else bad
+    idx, actions = np.array([0, i]), np.array([0, a])
+    for call in (mdp.kernel_rows_at, mdp.costs_at):
+        with pytest.raises(ValueError, match=f"infeasible in state {i}"):
+            call(idx, actions)
+    policy = np.zeros(mdp.lattice.size, dtype=np.int64)
+    policy[i] = a
+    with pytest.raises(ValueError, match=f"infeasible in state {i}"):
+        mdp.induced_apply(policy)
+    with pytest.raises(ValueError, match=f"infeasible in state {i}"):
+        mdp.action_cost(i, a)
+
+
+# ---------------------------------------------------------------------------
+# random small instances
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_params(draw):
+    J = draw(st.integers(2, 3))
+    caps = draw(st.lists(st.integers(1, 8), min_size=J, max_size=J))
+    beds = [draw(st.integers(0, c)) for c in caps]
+    cost = st.integers(0, 9).map(float) | st.floats(0.0, 10.0)
+    overflow = [
+        [0.0 if i == j else draw(cost) for j in range(J)] for i in range(J)
+    ]
+    return HospitalParams(
+        arrival_rates=tuple(draw(st.floats(0.05, 4.0)) for _ in range(J)),
+        service_probs=tuple(draw(st.sampled_from([0.1, 0.35, 0.8, 1.0])) for _ in range(J)),
+        beds=tuple(beds),
+        holding=tuple(draw(cost) for _ in range(J)),
+        overflow=tuple(tuple(r) for r in overflow),
+        caps=tuple(caps),
+        discount=0.95,
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(params=small_params(), seed=st.integers(0, 2**16))
+def test_random_instances_match_oracles(params, seed):
+    mdp = build_hospital(params)
+    n = mdp.lattice.size
+    states = np.arange(n)
+    table = oracle_table(mdp, states)
+    costs = np.concatenate([params.holding, np.ravel(params.overflow)])
+    if np.all(costs == np.round(costs)):
+        # integer costs sum exactly in any order, so the tables agree bit for bit
+        assert_table_matches(mdp, table)
+    else:
+        # the table sums each cost in another order than the per-state code
+        # (whose holding-cost matmul also rounds differently depending on how
+        # many actions share the call); allow a few roundings per term
+        for i, (moves, posts, ref_costs) in table.items():
+            got_moves, got_posts, got_costs = mdp._actions(i)
+            assert np.array_equal(got_moves, moves)
+            assert np.array_equal(got_posts, posts)
+            np.testing.assert_allclose(got_costs, ref_costs, rtol=1e-14)
+        table = {i: mdp._actions(i) for i in states}
+    rng = np.random.default_rng(seed)
+    W = rng.integers(0, 3, n) * rng.choice([1.0, 0.37])
+    actions, qvals = mdp.greedy_at(states, W)
+    ref_actions, ref_qvals = loop_greedy(mdp, table, states, W)
+    assert np.array_equal(actions, ref_actions)
+    assert np.array_equal(qvals, ref_qvals)
+    policy = random_actions(rng, mdp, states)
+    assert_same_csr(mdp.kernel_rows_at(states, policy), stacked_rows(mdp, table, states, policy))
