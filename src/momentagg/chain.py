@@ -76,26 +76,38 @@ class RowStochasticMatrix:
     __slots__ = ("csr",)
 
     def __init__(self, matrix):
-        M = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
-        M.sum_duplicates()
-        if M.nnz and float(M.data.min()) < 0.0:
+        M = sparse.csr_matrix(matrix, dtype=np.float64)
+        # only CSR input can lend M its arrays; they are never written to
+        shared = sparse.issparse(matrix) and matrix.format == "csr"
+        if not M.has_canonical_format:
+            # sort columns and sum duplicates, in a copy
+            M = M.copy()
+            M.sum_duplicates()
+            shared = False
+        lowest = float(M.data.min()) if M.nnz else 1.0
+        if lowest < 0.0:
             raise ValueError("negative transition probability")
         sums = np.asarray(M.sum(axis=1)).ravel()
         if np.any(np.abs(sums - 1.0) > ROWSUM_TOL):
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValueError(f"rows must sum to 1 (worst deviation {worst:.3e})")
-        if M.nnz and float(M.data.min()) < PROB_DROP:
-            keep = M.data >= PROB_DROP
-            M.data = np.where(keep, M.data, 0.0)
-            M.eliminate_zeros()
+        data, indices, indptr = M.data, M.indices, M.indptr
+        if lowest < PROB_DROP:
+            keep = data >= PROB_DROP
+            # each row start moves back by the entries dropped before it
+            indptr = indptr - np.searchsorted(np.flatnonzero(~keep), indptr)
+            M = sparse.csr_matrix((data[keep], indices[keep], indptr), shape=M.shape)
+            data, indices, indptr = M.data, M.indices, M.indptr
             sums = np.asarray(M.sum(axis=1)).ravel()
+            shared = False
         # renormalize exactly (post-drop sums are within n*1e-15 of one)
-        scale = 1.0 / sums
-        M = sparse.csr_matrix(
-            (M.data * np.repeat(scale, np.diff(M.indptr)), M.indices, M.indptr),
-            shape=M.shape,
-        )
-        M.sort_indices()
+        scale = np.repeat(1.0 / sums, np.diff(indptr))
+        if shared:
+            data, indices, indptr = data * scale, indices.copy(), indptr.copy()
+        else:
+            data *= scale
+        M = sparse.csr_matrix((data, indices, indptr), shape=M.shape)
+        M.has_canonical_format = True  # columns ascend, no duplicates
         self.csr = M
 
     # -- constructors --------------------------------------------------------

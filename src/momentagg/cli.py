@@ -363,12 +363,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _gap_columns(V_exact, V_agg):
-    abs_gap = np.abs(V_exact - V_agg)
-    rel_gap = abs_gap / np.maximum(V_exact, 1e-12)
-    return abs_gap, rel_gap
-
-
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------

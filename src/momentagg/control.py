@@ -5,8 +5,9 @@ Everything here minimizes discounted cost.  Two solvers are provided:
 * ``exact_policy_iteration`` — classical PI on the full state space;
 * ``aggregated_policy_iteration`` — PI restricted to the representative
   states of an aggregation scheme: each iteration solves the small L x L
-  aggregate system and improves the policy only at representative states,
-  then a single full sweep extends the final policy to every state.
+  aggregate system (sparse, see ``evaluation._solve``) and improves the
+  policy only at representative states, then a single full sweep extends
+  the final policy to every state.
 
 Greedy ties always break toward the lowest action id, so results are
 reproducible across runs and thread counts.
@@ -21,6 +22,7 @@ import numpy as np
 
 from ._parallel import run_chunked
 from .chain import MarkovRewardProcess, NumericalError, RowStochasticMatrix, solve_discounted
+from .evaluation import VALUE_FLOOR, GapReport, optimality_gap_report
 from .evaluation import _solve as _solve_aggregate
 from .lattice import StateLattice
 
@@ -37,10 +39,6 @@ __all__ = [
     "optimality_gap_report",
     "lifted_mdp",
 ]
-
-#: relative-value denominators are floored at this
-VALUE_FLOOR = 1e-12
-
 
 class ControlledMdp:
     """Base class: per-state action sets with sparse kernels and costs.
@@ -134,7 +132,7 @@ class ControlledMdp:
         """(apply, c): matrix-free form of the induced chain.
 
         The default materializes; subclasses whose kernels have product
-        structure override this to avoid forming N x N matrices.
+        structure override this to avoid forming the N-row kernel.
         """
         P, c = self.induced(policy)
         return P.apply, c
@@ -315,11 +313,13 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     """Policy iteration on representative states only, plus one full sweep.
 
     Per iteration: stack the L kernel rows at representative states under
-    the current restricted policy, solve the L x L aggregate system
-    ``(I - alpha PbarG) R = c_bar``, and improve the policy at
-    representative states against the interpolated values W = G R.  When
-    the restricted policy is stable, a single greedy sweep over all
-    states produces the full policy and its one-step value estimate.
+    the current restricted policy, form PbarG as a sparse L x L matrix,
+    solve the aggregate system ``(I - alpha PbarG) R = c_bar`` by sparse
+    LU (dense LU only when PbarG is dense; the same residual certificate
+    either way), and improve the policy at representative states against
+    the interpolated values W = G R.  When the restricted policy is
+    stable, a single greedy sweep over all states produces the full policy
+    and its one-step value estimate, lifted through ``induced_apply``.
 
     Returns a PiReport whose ``value`` is V~ = c + alpha P (G R) under the
     returned policy and whose ``R`` is the final aggregate value.
@@ -346,7 +346,7 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
         t0 = _now_ms()
         Pbar = mdp.kernel_rows_at(reps, policy_bar)
         c_bar = mdp.costs_at(reps, policy_bar)
-        PbarG = (Pbar.csr @ G.csr).toarray()
+        PbarG = Pbar.csr @ G.csr
         t1 = _now_ms()
         R = _solve_aggregate(PbarG, c_bar, alpha)
         t2 = _now_ms()
@@ -425,30 +425,4 @@ def bellman_residual(mdp, policy, W):
         relative=relative,
         mean_rel=float(np.mean(relative)),
         max_rel=float(np.max(relative)),
-    )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Per-state |candidate - reference| / max(reference, floor)."""
-
-    abs_gap: np.ndarray
-    rel_gap: np.ndarray
-    mean_rel: float
-    max_rel: float
-
-
-def optimality_gap_report(V_reference, V_candidate):
-    """Gap statistics of a candidate value against a reference (optimal) one."""
-    V_reference = np.asarray(V_reference, dtype=np.float64)
-    V_candidate = np.asarray(V_candidate, dtype=np.float64)
-    if V_reference.shape != V_candidate.shape:
-        raise ValueError("value vectors must have equal length")
-    abs_gap = np.abs(V_candidate - V_reference)
-    rel_gap = abs_gap / np.maximum(V_reference, VALUE_FLOOR)
-    return GapReport(
-        abs_gap=abs_gap,
-        rel_gap=rel_gap,
-        mean_rel=float(np.mean(rel_gap)),
-        max_rel=float(np.max(rel_gap)),
     )

@@ -9,6 +9,8 @@ import _oracles as orc
 from momentagg import (
     ControlledMdp,
     ResourceLimitError,
+    benchmarks,
+    exact_policy_iteration,
     exact_value,
     local_moments,
 )
@@ -212,6 +214,51 @@ def test_jrp_induced_matches_generic():
     P_ref, c_ref = ControlledMdp.induced(mdp, policy)
     assert_allclose(P.toarray(), P_ref.toarray(), atol=1e-13)
     assert_allclose(c, c_ref, atol=1e-10)
+
+
+def _random_policy(mdp, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, mdp.action_counts()).astype(np.int64)
+
+
+@pytest.mark.parametrize("params", [jrp_small, jrp_large])
+def test_jrp_induced_apply_matches_materialized_chain(params, monkeypatch):
+    mdp = build_jrp(params())
+    n = mdp.lattice.size
+    rng = np.random.default_rng(21)
+    for seed in (0, 1):
+        policy = _random_policy(mdp, seed)
+        P, c_ref = mdp.induced(policy)
+        # matrix-free: neither the N-row kernel nor any stochastic matrix
+        with monkeypatch.context() as m:
+            m.setattr(mdp, "induced", None)
+            m.setattr(benchmarks, "RowStochasticMatrix", None)
+            apply_P, c = mdp.induced_apply(policy)
+            f = rng.random(n) * 100.0
+            got = apply_P(f)
+        assert np.array_equal(c, c_ref)
+        assert_allclose(got, P.apply(f), rtol=1e-14, atol=0)
+    assert_allclose(apply_P(np.ones(n)), 1.0, rtol=1e-14, atol=0)
+
+
+def test_jrp_induced_apply_rejects_infeasible_action():
+    mdp = build_jrp(jrp_small())
+    policy = np.zeros(mdp.lattice.size, dtype=np.int64)
+    policy[123] = mdp.n_actions(123)
+    with pytest.raises(ValueError, match="infeasible in state 123"):
+        mdp.induced_apply(policy)
+    with pytest.raises(ValueError, match="each of"):
+        mdp.induced_apply(policy[:-1])
+
+
+def test_jrp_exact_pi_same_with_materialized_chain(monkeypatch):
+    mdp = build_jrp(jrp_small())
+    got = exact_policy_iteration(mdp)
+    monkeypatch.setattr(JointReplenishmentMdp, "induced_apply", ControlledMdp.induced_apply)
+    expect = exact_policy_iteration(mdp)
+    assert got.iterations == expect.iterations
+    assert np.array_equal(got.policy, expect.policy)
+    assert_allclose(got.value, expect.value, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 import _oracles as orc
 from momentagg import (
@@ -29,6 +30,7 @@ from momentagg import (
     verify_mstep_identity,
 )
 from momentagg.benchmarks import build_simple_rw, build_two_point_chain
+from momentagg.chain import PROB_DROP, ROWSUM_TOL
 
 
 def _chain_mrp(P, c, alpha):
@@ -39,6 +41,129 @@ def _chain_mrp(P, c, alpha):
 # ---------------------------------------------------------------------------
 # RowStochasticMatrix
 # ---------------------------------------------------------------------------
+
+def _reference_constructor(matrix):
+    """The original RowStochasticMatrix constructor (a full copy, duplicate
+    summing, drop by zeroing, renormalizing rebuild and sort), kept as the
+    oracle of the one that skips this work for canonical CSR input."""
+    M = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
+    M.sum_duplicates()
+    if M.nnz and float(M.data.min()) < 0.0:
+        raise ValueError("negative transition probability")
+    sums = np.asarray(M.sum(axis=1)).ravel()
+    if np.any(np.abs(sums - 1.0) > ROWSUM_TOL):
+        raise ValueError("rows must sum to 1")
+    if M.nnz and float(M.data.min()) < PROB_DROP:
+        keep = M.data >= PROB_DROP
+        M.data = np.where(keep, M.data, 0.0)
+        M.eliminate_zeros()
+        sums = np.asarray(M.sum(axis=1)).ravel()
+    scale = 1.0 / sums
+    M = sparse.csr_matrix(
+        (M.data * np.repeat(scale, np.diff(M.indptr)), M.indices, M.indptr),
+        shape=M.shape,
+    )
+    M.sort_indices()
+    return M
+
+
+def _assert_same_csr(got, expect):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("instance", ["jrp_large", "hospital3"])
+def test_constructor_matches_reference_on_benchmark_rows(monkeypatch, instance):
+    # the rows kernel_rows_at assembles at every representative state, under
+    # action 0 and under a random feasible action
+    from momentagg import benchmarks as B
+    from momentagg.aggregation import build_scheme
+    from momentagg.grid import build_grid
+
+    if instance == "jrp_large":
+        mdp = B.build_jrp(B.jrp_large())
+    else:
+        mdp = B.build_hospital(B.hospital_3ward())
+    reps = np.asarray(build_scheme(build_grid(mdp.lattice, 0.45)).grid.rep_indices)
+    seen = []
+
+    class Capturing(RowStochasticMatrix):
+        __slots__ = ()
+
+        def __init__(self, matrix):
+            expect = _reference_constructor(matrix)
+            before = sparse.csr_matrix(matrix, copy=True)
+            super().__init__(matrix)
+            after = sparse.csr_matrix(matrix)
+            seen.append((self.csr, expect))
+            # the input is left as it was
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(after, name), getattr(before, name))
+
+    monkeypatch.setattr(B, "RowStochasticMatrix", Capturing)
+    rng = np.random.default_rng(17)
+    for actions in (
+        np.zeros(len(reps), dtype=np.int64),
+        rng.integers(0, mdp.action_counts()[reps]),
+    ):
+        mdp.kernel_rows_at(reps, actions)
+    assert len(seen) == 2
+    for got, expect in seen:
+        _assert_same_csr(got, expect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                       st.sampled_from([1e-17, 1e-16, 2e-15, 0.25, 0.5, 1.0])),
+             min_size=1, max_size=30),
+    st.sampled_from(["coo", "csr", "unsorted", "dense"]),
+    st.sampled_from([1.0, 1.0 + 5e-13, 1.0 - 5e-13]),
+)
+def test_constructor_matches_reference_on_any_input(n_rows, n_cols, entries, form, mass):
+    # one unit entry per row, so no row is empty, then the drawn entries
+    rows = np.r_[np.arange(n_rows), [r % n_rows for r, _, _ in entries]]
+    cols = np.r_[np.arange(n_rows) % n_cols, [c % n_cols for _, c, _ in entries]]
+    vals = np.r_[np.ones(n_rows), [v for _, _, v in entries]]
+    M = sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+    # rows sum to ``mass``, within the tolerance but not always exactly one
+    M = sparse.csr_matrix(sparse.diags(mass / np.asarray(M.sum(axis=1)).ravel()) @ M)
+    if form == "coo":
+        M = M.tocoo()
+    elif form == "unsorted":  # every row's entries reversed, half of each twice
+        order = np.concatenate(
+            [np.arange(M.indptr[r + 1] - 1, M.indptr[r] - 1, -1) for r in range(n_rows)]
+        )
+        half = M.data[order] / 2
+        M = sparse.csr_matrix(
+            (np.repeat(half, 2), np.repeat(M.indices[order], 2), 2 * M.indptr),
+            shape=M.shape,
+        )
+    elif form == "dense":
+        M = M.toarray()
+    before = sparse.csr_matrix(M, copy=True)
+    _assert_same_csr(RowStochasticMatrix(M).csr, _reference_constructor(M))
+    after = sparse.csr_matrix(M)
+    for name in ("indptr", "indices", "data"):  # the input is left as it was
+        assert np.array_equal(getattr(after, name), getattr(before, name))
+
+
+@pytest.mark.parametrize("tiny", [0.0, 1e-16])
+def test_constructor_leaves_csr_input_untouched(tiny):
+    # canonical CSR input whose rows sum to 1 + 5e-13: renormalized without
+    # writing to (or handing out) the caller's arrays, with and without a drop
+    M = sparse.csr_matrix(np.array([[0.5, 0.5 + 5e-13, tiny], [1.0, 0.0, 0.0]]))
+    before = M.copy()
+    P = RowStochasticMatrix(M)
+    _assert_same_csr(P.csr, _reference_constructor(before))
+    _assert_same_csr(M, before)
+    for name in ("indptr", "indices", "data"):
+        assert not np.shares_memory(getattr(P.csr, name), getattr(M, name))
+
 
 def test_matrix_rejects_negative_mass():
     with pytest.raises(ValueError):

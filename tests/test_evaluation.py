@@ -1,11 +1,16 @@
 """Aggregate policy-evaluation tests: the reduced linear system, lifting,
 gap reports, and the interpolation-residual value bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import linalg as sla
+from scipy import sparse
 
 import _oracles as orc
+from momentagg import control, evaluation
 from momentagg import (
     MarkovRewardProcess,
     RowStochasticMatrix,
@@ -20,7 +25,16 @@ from momentagg import (
     interpolation_residuals,
     lifted_chain,
 )
-from momentagg.benchmarks import build_simple_rw
+from momentagg.benchmarks import (
+    build_hospital,
+    build_jrp,
+    build_reflecting_rw,
+    build_simple_rw,
+    hospital_2ward,
+    jrp_small,
+)
+from momentagg.chain import NumericalError
+from momentagg.control import aggregated_policy_iteration
 
 
 def _random_mrp(seed, lower, upper, **kw):
@@ -159,3 +173,102 @@ def test_bound_check_accepts_precomputed_values():
     b = interpolation_bound_check(mrp, scheme, V=V, V_tilde=report.V_agg)
     assert b.lhs == pytest.approx(a.lhs, rel=1e-6, abs=1e-9)
     assert b.rhs == pytest.approx(a.rhs, rel=1e-6, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the aggregate solve: sparse LU, dense LU only for a dense PbarG
+# ---------------------------------------------------------------------------
+
+def _dense_oracle(PbarG, c_bar, alpha):
+    """The aggregate solve on the densified matrix, by LAPACK."""
+    A = np.eye(PbarG.shape[0]) - alpha * PbarG.toarray()
+    return sla.solve(A, c_bar)
+
+
+def _aggregate_case(name):
+    """(PbarG, c_bar, alpha) of an instance: MDPs under action 0 at every
+    representative state, the walk under its own kernel."""
+    if name == "reflecting_rw":
+        mrp = build_reflecting_rw(2000, seed=5)
+        return (*evaluation._aggregate_system(mrp, _scheme(mrp)), mrp.discount)
+    mdp = build_jrp(jrp_small()) if name == "jrp_small" else build_hospital(hospital_2ward())
+    scheme = _scheme(mdp)
+    reps = np.asarray(scheme.grid.rep_indices)
+    zero = np.zeros(len(reps), dtype=np.int64)
+    Pbar = mdp.kernel_rows_at(reps, zero)
+    return Pbar.csr @ scheme.G.csr, mdp.costs_at(reps, zero), mdp.discount
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of the sparse (splu) and dense (LAPACK) factorizations."""
+    calls = {"sparse": 0, "dense": 0}
+    splu, solve = evaluation.spla.splu, evaluation.sla.solve
+
+    def counted_splu(*args, **kwargs):
+        calls["sparse"] += 1
+        return splu(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["dense"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation.spla, "splu", counted_splu)
+    monkeypatch.setattr(evaluation.sla, "solve", counted_solve)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [("jrp_small", "sparse"), ("hospital2", "dense"), ("reflecting_rw", "sparse")],
+)
+def test_aggregate_solve_matches_dense_oracle(name, path, solver_calls):
+    PbarG, c_bar, alpha = _aggregate_case(name)
+    L = PbarG.shape[0]
+    assert sparse.issparse(PbarG)
+    density = PbarG.nnz / (L * L)
+    # each instance sits on its own side of the switch
+    assert (density < evaluation.SPARSE_LU_DENSITY) == (path == "sparse")
+    R = evaluation._solve(PbarG, c_bar, alpha)
+    assert solver_calls == {"sparse": int(path == "sparse"), "dense": int(path == "dense")}
+    expect = _dense_oracle(PbarG, c_bar, alpha)
+    assert np.all(np.abs(R - expect) <= 1e-13 * np.abs(expect))
+
+
+def test_sparse_path_allocates_no_dense_square():
+    mrp = build_reflecting_rw(20_000, seed=6)
+    PbarG, c_bar = evaluation._aggregate_system(mrp, _scheme(mrp))
+    L = PbarG.shape[0]
+    assert PbarG.nnz < evaluation.SPARSE_LU_DENSITY * L * L
+    tracemalloc.start()
+    try:
+        evaluation._solve(PbarG, c_bar, mrp.discount)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * L * L / 10, f"peak {peak} bytes against {8 * L * L} for L x L"
+
+
+@pytest.mark.parametrize("path", ["sparse", "dense"])
+def test_singular_aggregate_raises(path, solver_calls):
+    # row 0 of I - alpha PbarG vanishes exactly (alpha * 2 == 1)
+    L, alpha = 50, 0.5
+    M = 0.5 * np.eye(L) if path == "sparse" else np.full((L, L), 0.5 / L)
+    M[0, :] = 0.0
+    M[0, 0] = 2.0
+    PbarG = sparse.csr_matrix(M)
+    with pytest.raises(NumericalError, match="singular"):
+        evaluation._solve(PbarG, np.ones(L), alpha)
+    assert solver_calls[path] == 1
+
+
+@pytest.mark.parametrize("which", ["jrp_small", "hospital2"])
+def test_aggregated_pi_policy_unchanged_by_sparse_solve(which, monkeypatch):
+    mdp = build_jrp(jrp_small()) if which == "jrp_small" else build_hospital(hospital_2ward())
+    scheme = _scheme(mdp)
+    got = aggregated_policy_iteration(mdp, scheme)
+    monkeypatch.setattr(control, "_solve_aggregate", _dense_oracle)
+    expect = aggregated_policy_iteration(mdp, scheme)
+    assert got.iterations == expect.iterations
+    assert np.array_equal(got.policy, expect.policy)
+    assert_allclose(got.R, expect.R, rtol=1e-13)
