@@ -713,6 +713,34 @@ def build_hospital(params):
 # random walks
 # ---------------------------------------------------------------------------
 
+def _end_and_pair_rows(size, first, last, low, high, up):
+    """P on states 0..size-1, emitted as canonical CSR.
+
+    State 0 moves to column ``first`` and state size-1 to ``last`` surely;
+    interior state r moves to ``low[r-1]`` with probability ``1 - up[r-1]``
+    and to ``high[r-1]`` (> ``low[r-1]``) with probability ``up[r-1]``
+    (scalars serve every interior state).
+    Each row's columns ascend, so the constructor neither sorts nor sums
+    duplicates, and it sums each row in the same order as the triplet
+    form of the same chain.
+    """
+    itype = np.int32 if size < 2**31 else np.int64
+    indptr = np.empty(size + 1, dtype=itype)
+    indptr[0] = 0
+    indptr[1:-1] = np.arange(1, 2 * size - 2, 2, dtype=itype)
+    indptr[-1] = 2 * size - 2
+    indices = np.empty(2 * size - 2, dtype=itype)
+    indices[0], indices[-1] = first, last
+    indices[1:-1:2] = low
+    indices[2:-1:2] = high
+    data = np.empty(2 * size - 2)
+    data[0] = data[-1] = 1.0
+    data[1:-1:2] = 1.0 - up
+    data[2:-1:2] = up
+    M = sparse.csr_matrix((data, indices, indptr), shape=(size, size))
+    return RowStochasticMatrix(M)
+
+
 def build_simple_rw(n, absorbing=True, *, alpha=0.9):
     """Symmetric +-1 walk on [0, n] with c(x) = x.
 
@@ -722,12 +750,9 @@ def build_simple_rw(n, absorbing=True, *, alpha=0.9):
     if n < 2:
         raise ValueError("need n >= 2")
     lattice = StateLattice([0], [n])
-    rows, cols, data = [0, n], [0 if absorbing else 1, n if absorbing else n - 1], [1.0, 1.0]
-    for i in range(1, n):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        data += [0.5, 0.5]
-    P = RowStochasticMatrix.from_coo(rows, cols, data, (n + 1, n + 1))
+    inner = np.arange(1, n)
+    first, last = (0, n) if absorbing else (1, n - 1)
+    P = _end_and_pair_rows(n + 1, first, last, inner - 1, inner + 1, 0.5)
     cost = np.arange(n + 1, dtype=np.float64)
     return MarkovRewardProcess(lattice, P, cost, alpha)
 
@@ -739,17 +764,7 @@ def build_two_point_chain(n, *, alpha=0.9):
     if n < 2:
         raise ValueError("need n >= 2")
     lattice = StateLattice([0], [n])
-    rows, cols, data = [], [], []
-    for x in range(n + 1):
-        if x > 0:
-            rows.append(x)
-            cols.append(n)
-            data.append(x / n)
-        if x < n:
-            rows.append(x)
-            cols.append(0)
-            data.append(1.0 - x / n)
-    P = RowStochasticMatrix.from_coo(rows, cols, data, (n + 1, n + 1))
+    P = _end_and_pair_rows(n + 1, 0, n, 0, n, np.arange(1, n) / n)
     cost = np.arange(n + 1, dtype=np.float64)
     return MarkovRewardProcess(lattice, P, cost, alpha)
 
@@ -757,19 +772,17 @@ def build_two_point_chain(n, *, alpha=0.9):
 def build_reflecting_rw(n, seed, *, alpha=0.95):
     """Reflecting walk on [1, n] with seeded, slightly-downward drift.
 
-    P(i, i+1) = 0.5 - 0.1 * Uniform(0, 1) at interior states (one draw
-    per state, in state order), hard reflection at both ends, c(i) = i^2.
+    P(i, i+1) = 0.5 - 0.1 * Uniform(0, 1) at interior states, hard
+    reflection at both ends, c(i) = i^2.  The uniforms are one
+    ``default_rng(seed).random(n - 2)`` draw used in state order, and P
+    is built from whole arrays, not state by state.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     lattice = StateLattice([1], [n])
-    up = 0.5 - 0.1 * np.random.default_rng(seed).random(max(n - 2, 0))
-    rows, cols, data = [0, n - 1], [1, n - 2], [1.0, 1.0]
-    for k, i in enumerate(range(2, n)):
-        rows += [i - 1, i - 1]
-        cols += [i, i - 2]
-        data += [float(up[k]), float(1.0 - up[k])]
-    P = RowStochasticMatrix.from_coo(rows, cols, data, (n, n))
+    up = 0.5 - 0.1 * np.random.default_rng(seed).random(n - 2)
+    inner = np.arange(1, n - 1)
+    P = _end_and_pair_rows(n, 1, n - 2, inner - 1, inner + 1, up)
     cost = np.arange(1, n + 1, dtype=np.float64) ** 2
     return MarkovRewardProcess(lattice, P, cost, alpha)
 

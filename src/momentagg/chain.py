@@ -390,10 +390,9 @@ def max_jump(mrp, x=None, *, _block_nnz=4_000_000):
     indptr = csr.indptr
     row = 0
     while row < lattice.size:
-        stop = row
-        while stop < lattice.size and indptr[stop + 1] - indptr[row] <= _block_nnz:
-            stop += 1
-        stop = max(stop, row + 1)
+        # the last row end within budget; a row over budget is its own block
+        end = int(indptr[row]) + _block_nnz
+        stop = max(int(np.searchsorted(indptr, end, side="right")) - 1, row + 1)
         lo, hi = indptr[row], indptr[stop]
         owners = np.repeat(np.arange(row, stop), np.diff(indptr[row:stop + 1]))
         norms = np.linalg.norm(states[csr.indices[lo:hi]] - states[owners], axis=1)

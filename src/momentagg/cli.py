@@ -50,7 +50,7 @@ from .evaluation import evaluate, interpolation_bound_check
 from .grid import build_grid, grid_from_axes, meta_count_bound
 from .lattice import StateLattice
 
-__all__ = ["RunConfig", "SummaryRecord", "ConfigError", "load_config", "run", "diagnose", "main"]
+__all__ = ["RunConfig", "SummaryRecord", "ConfigError", "load_config", "run", "main"]
 
 ENV_PREFIX = "MOMENTAGG_"
 
@@ -90,7 +90,7 @@ class RunConfig:
     instance_file: str | None = None
     size: int | None = None  # walk length for the random-walk problems
     grid_source: str = "auto"  # auto | spaced | endpoints
-    baseline: bool | None = None  # optimize: exact-PI reference (default on)
+    baseline: bool = True  # optimize: exact-PI reference
     exact: bool = True  # evaluate: solve the full system too
     lower: tuple | None = None  # problem=box
     upper: tuple | None = None
@@ -172,7 +172,7 @@ def load_config(path, overrides=None):
         "instance_file": get(prob, "file"),
         "size": get(prob, "n"),
         "grid_source": get(prob, "grid", "auto"),
-        "baseline": get(prob, "baseline"),
+        "baseline": get(prob, "baseline") or "true",  # empty means unset
         "exact": get(prob, "exact", "true"),
         "lower": get(prob, "lower"),
         "upper": get(prob, "upper"),
@@ -215,9 +215,7 @@ def load_config(path, overrides=None):
             instance_file=values["instance_file"],
             size=None if values["size"] in (None, "") else int(values["size"]),
             grid_source=str(values["grid_source"]),
-            baseline=None
-            if values["baseline"] in (None, "")
-            else str(values["baseline"]).lower() in ("1", "true", "yes", "on"),
+            baseline=str(values["baseline"]).lower() in ("1", "true", "yes", "on"),
             exact=str(values["exact"]).lower() in ("1", "true", "yes", "on"),
             lower=None if values["lower"] in (None, "") else _parse_int_tuple(values["lower"]),
             upper=None if values["upper"] in (None, "") else _parse_int_tuple(values["upper"]),
@@ -439,11 +437,10 @@ def _mode_optimize(cfg, out):
     apply_P, c_pi = mdp.induced_apply(api.policy)
     V_policy = solve_discounted(apply_P, c_pi, mdp.discount, tol=cfg.tol)
     residual = bellman_residual(mdp, api.policy, api.value)
-    baseline = cfg.baseline if cfg.baseline is not None else cfg.problem != "hospital4"
     columns = []
     mean_rel = max_rel = None
     exact_ms = None
-    if baseline:
+    if cfg.baseline:
         t1 = time.perf_counter()
         pi_report = exact_policy_iteration(mdp, tol=cfg.tol, max_iter=max(cfg.max_iter, 200))
         exact_ms = (time.perf_counter() - t1) * 1000.0
@@ -551,20 +548,6 @@ def _mode_diagnose(cfg, out):
         n_meta=grid.size,
         spacing_exponent=grid.spacing_exponent,
     )
-
-
-def diagnose(config):
-    """Run the diagnostics mode of a configuration; returns the checks dict."""
-    cfg = config if isinstance(config, RunConfig) else load_config(config)
-    kind, obj = _build_problem(cfg)
-    if kind == "lattice":
-        raise ConfigError("problem=box supports mode=grid only")
-    if kind == "mdp":
-        mrp = induced_mrp(obj, np.zeros(obj.lattice.size, dtype=np.int64))
-    else:
-        mrp = obj
-    scheme = build_scheme(_make_grid(cfg, mrp.lattice))
-    return _diagnostics(cfg, mrp, scheme)
 
 
 def run(config):

@@ -3,6 +3,8 @@ brute-force enumeration oracles, action decoding, and the walk builders."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _oracles as orc
@@ -12,7 +14,9 @@ from momentagg import (
     benchmarks,
     exact_policy_iteration,
     exact_value,
+    induced_mrp,
     local_moments,
+    max_jump,
 )
 from momentagg.benchmarks import (
     HospitalOverflowMdp,
@@ -31,6 +35,8 @@ from momentagg.benchmarks import (
     load_mrp,
     save_mrp,
 )
+from momentagg.chain import MarkovRewardProcess, RowStochasticMatrix
+from momentagg.lattice import StateLattice
 
 
 def _jrp_tiny(widen=False):
@@ -427,6 +433,124 @@ def test_walk_builders_validate_size():
         build_two_point_chain(1)
     with pytest.raises(ValueError):
         build_reflecting_rw(2, seed=0)
+
+
+# the walk builders as they were before P was built from whole arrays:
+# Python lists filled state by state, then summed into CSR by from_coo
+
+
+def _loop_simple_rw(n, absorbing=True, *, alpha=0.9):
+    lattice = StateLattice([0], [n])
+    rows, cols, data = [0, n], [0 if absorbing else 1, n if absorbing else n - 1], [1.0, 1.0]
+    for i in range(1, n):
+        rows += [i, i]
+        cols += [i - 1, i + 1]
+        data += [0.5, 0.5]
+    P = RowStochasticMatrix.from_coo(rows, cols, data, (n + 1, n + 1))
+    return MarkovRewardProcess(lattice, P, np.arange(n + 1, dtype=np.float64), alpha)
+
+
+def _loop_two_point_chain(n, *, alpha=0.9):
+    lattice = StateLattice([0], [n])
+    rows, cols, data = [], [], []
+    for x in range(n + 1):
+        if x > 0:
+            rows.append(x)
+            cols.append(n)
+            data.append(x / n)
+        if x < n:
+            rows.append(x)
+            cols.append(0)
+            data.append(1.0 - x / n)
+    P = RowStochasticMatrix.from_coo(rows, cols, data, (n + 1, n + 1))
+    return MarkovRewardProcess(lattice, P, np.arange(n + 1, dtype=np.float64), alpha)
+
+
+def _loop_reflecting_rw(n, seed, *, alpha=0.95):
+    lattice = StateLattice([1], [n])
+    up = 0.5 - 0.1 * np.random.default_rng(seed).random(max(n - 2, 0))
+    rows, cols, data = [0, n - 1], [1, n - 2], [1.0, 1.0]
+    for k, i in enumerate(range(2, n)):
+        rows += [i - 1, i - 1]
+        cols += [i, i - 2]
+        data += [float(up[k]), float(1.0 - up[k])]
+    P = RowStochasticMatrix.from_coo(rows, cols, data, (n, n))
+    cost = np.arange(1, n + 1, dtype=np.float64) ** 2
+    return MarkovRewardProcess(lattice, P, cost, alpha)
+
+
+def _assert_same_process(got, want):
+    """Bit-identical CSR arrays (dtypes included), cost, lattice, discount."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.P.csr, name), getattr(want.P.csr, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.P.shape == want.P.shape
+    assert got.cost.dtype == want.cost.dtype
+    assert got.cost.tobytes() == want.cost.tobytes()
+    assert got.lattice == want.lattice
+    assert got.discount == want.discount
+
+
+@pytest.mark.parametrize("n", [3, 4, 50, 2000])
+@pytest.mark.parametrize("seed", [0, 3, 7, 2**31 + 5])
+def test_reflecting_rw_matches_loop_builder(n, seed):
+    _assert_same_process(build_reflecting_rw(n, seed), _loop_reflecting_rw(n, seed))
+
+
+@pytest.mark.parametrize("n", [2, 30])
+@pytest.mark.parametrize("absorbing", [True, False])
+def test_simple_rw_matches_loop_builder(n, absorbing):
+    _assert_same_process(
+        build_simple_rw(n, absorbing=absorbing), _loop_simple_rw(n, absorbing=absorbing)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 30])
+def test_two_point_chain_matches_loop_builder(n):
+    _assert_same_process(build_two_point_chain(n), _loop_two_point_chain(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 500), seed=st.integers(0, 2**32 - 1))
+def test_walk_builders_match_loop_builders_sweep(n, seed):
+    _assert_same_process(build_reflecting_rw(n, seed), _loop_reflecting_rw(n, seed))
+    _assert_same_process(build_simple_rw(n, absorbing=seed % 2 == 0),
+                         _loop_simple_rw(n, absorbing=seed % 2 == 0))
+    _assert_same_process(build_two_point_chain(n), _loop_two_point_chain(n))
+
+
+# ---------------------------------------------------------------------------
+# maximal jumps on the benchmark chains
+# ---------------------------------------------------------------------------
+
+def _max_jump_per_row(mrp):
+    states = mrp.lattice.all_states().astype(np.float64)
+    out = np.empty(mrp.lattice.size)
+    for i in range(mrp.lattice.size):
+        cols, _ = mrp.P.row(i)
+        out[i] = np.max(np.linalg.norm(states[cols] - states[i], axis=1))
+    return out
+
+
+@pytest.fixture(scope="module")
+def jump_chains():
+    jrp = build_jrp(jrp_small())
+    return {
+        "reflecting_rw": build_reflecting_rw(2000, seed=11),
+        "jrp_small": induced_mrp(jrp, np.zeros(jrp.lattice.size, dtype=np.int64)),
+    }
+
+
+@pytest.mark.parametrize("chain", ["reflecting_rw", "jrp_small"])
+def test_max_jump_matches_per_row_oracle(jump_chains, chain):
+    mrp = jump_chains[chain]
+    want = _max_jump_per_row(mrp)
+    assert max_jump(mrp).tobytes() == want.tobytes()
+    # budgets that force many blocks; at 1 and 3 every row of two or more
+    # entries is over budget and forms a block of its own
+    for budget in (1, 3, 37, 1000):
+        assert max_jump(mrp, _block_nnz=budget).tobytes() == want.tobytes(), budget
 
 
 # ---------------------------------------------------------------------------

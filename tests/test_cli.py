@@ -2,11 +2,12 @@
 layout, deterministic output bytes, and exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from momentagg import exact_value
+from momentagg import cli, exact_value
 from momentagg.benchmarks import build_reflecting_rw, save_mrp
 from momentagg.cli import ConfigError, RunConfig, load_config, main, run
 
@@ -70,7 +71,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.spacing == 0.45
     assert cfg.alpha is None
     assert cfg.threads == 1
-    assert cfg.baseline is None
+    assert cfg.baseline is True
     assert cfg.exact is True
     assert cfg.out_dir == "out"
 
@@ -302,3 +303,34 @@ def test_run_accepts_runconfig(tmp_path):
     summary = run(cfg)
     assert summary.n_states == 11
     assert (tmp_path / "o" / "summary.json").exists()
+
+
+def test_optimize_hospital4_runs_baseline_by_default(tmp_path, monkeypatch):
+    # the exact baseline is on for every problem unless switched off; both
+    # PI loops are stubbed, so only the wiring around them runs
+    out = tmp_path / "out"
+    ini = _write_ini(
+        tmp_path / "o.ini",
+        f"[problem]\nname = hospital4\nmode = optimize\n[output]\ndir = {out}\n",
+    )
+    cfg = load_config(ini)
+    assert cfg.baseline is True
+    calls = []
+
+    def fake_api(mdp, scheme, **kwargs):
+        calls.append("api")
+        zeros = np.zeros(mdp.lattice.size)
+        return SimpleNamespace(
+            policy=zeros.astype(np.int64), value=zeros, timings_ms={}, iterations=1
+        )
+
+    def fake_exact(mdp, **kwargs):
+        calls.append("exact")
+        return SimpleNamespace(value=np.ones(mdp.lattice.size))
+
+    monkeypatch.setattr(cli, "aggregated_policy_iteration", fake_api)
+    monkeypatch.setattr(cli, "exact_policy_iteration", fake_exact)
+    run(cfg)
+    assert calls == ["api", "exact"]
+    header = (out / "values.csv").read_text().splitlines()[0]
+    assert header == "state_index,x0,x1,x2,x3,V_exact,V_agg,abs_gap,rel_gap,action"
