@@ -7,7 +7,9 @@ iteration, optionally against an exact-PI baseline), ``diagnose`` (the
 numeric health checks) — and writes artifacts into the output directory:
 
 * ``values.csv``   — per-state values/gaps (17 significant digits)
-* ``summary.json`` — counts, gap statistics, iteration and runtime data
+* ``summary.json`` — counts, gap statistics, iteration and runtime data;
+  optimize adds ``reps_changed``, the representatives whose action changed
+  at each aggregate iteration
 * ``grid.json``    — axis grids, L, and the growth-bound check
 * ``diagnostics.json`` (diagnose mode)
 
@@ -126,6 +128,7 @@ class SummaryRecord:
     bellman_mean_pct: float | None = None
     bellman_max_pct: float | None = None
     iterations: int | None = None
+    reps_changed: list | None = None
     runtime_ms: dict | None = None
 
 
@@ -477,6 +480,7 @@ def _mode_optimize(cfg, out):
         bellman_mean_pct=residual.mean_rel * 100.0,
         bellman_max_pct=residual.max_rel * 100.0,
         iterations=api.iterations,
+        reps_changed=api.reps_changed,
         runtime_ms=runtime,
     )
 

@@ -7,7 +7,9 @@ Everything here minimizes discounted cost.  Two solvers are provided:
   states of an aggregation scheme: each iteration solves the small L x L
   aggregate system (sparse, see ``evaluation._solve``) and improves the
   policy only at representative states, then a single full sweep extends
-  the final policy to every state.
+  the final policy to every state.  The aggregate rows are assembled for
+  all L representatives once; later iterations rebuild only the rows of
+  representatives whose action changed.
 
 Greedy ties always break toward the lowest action id, so results are
 reproducible across runs and thread counts.
@@ -19,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from ._parallel import run_chunked
 from .chain import MarkovRewardProcess, NumericalError, RowStochasticMatrix, solve_discounted
@@ -230,7 +233,12 @@ class PiReport:
     ``timings_ms`` holds per-phase wall times: lists keyed
     ``compute_P`` / ``evaluation`` / ``update`` (one entry per iteration)
     plus scalar totals (``full_update``, ``lift``, ``total``) when the
-    phase exists.
+    phase exists.  In aggregated PI, ``compute_P`` times the assembly of
+    the rows rebuilt that iteration (all L rows only in the first).
+
+    ``reps_changed`` holds, per iteration of aggregated PI, how many
+    representatives changed action in the improvement step; it ends in 0
+    when the run converged.  Exact PI leaves it empty.
     """
 
     iterations: int
@@ -240,6 +248,7 @@ class PiReport:
     R: np.ndarray | None = None
     bellman_sup: float | None = None
     timings_ms: dict = field(default_factory=dict)
+    reps_changed: list = field(default_factory=list)
 
 
 def _now_ms():
@@ -309,20 +318,44 @@ def exact_policy_iteration(mdp, policy0=None, *, tol=1e-10, max_iter=200):
     raise err
 
 
+def _assemble_rows(mdp, G, reps, policy_bar, changed, PbarG, c_bar):
+    """PbarG and c_bar with the rows of representatives ``changed`` rebuilt
+    under ``policy_bar``.
+
+    Each row of ``Pbar.csr @ G.csr`` depends only on the matching row of
+    Pbar, so the rebuilt rows are spliced in place of the stale ones and
+    the CSR arrays equal those of a fresh product over all L rows.
+    """
+    L = len(reps)
+    rows = mdp.kernel_rows_at(reps[changed], policy_bar[changed]).csr @ G.csr
+    costs = mdp.costs_at(reps[changed], policy_bar[changed])
+    if len(changed) == L:
+        return rows, costs
+    src = np.arange(L)
+    src[changed] = L + np.arange(len(changed))
+    c_bar = c_bar.copy()
+    c_bar[changed] = costs
+    return sparse.vstack([PbarG, rows], format="csr")[src], c_bar
+
+
 def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     """Policy iteration on representative states only, plus one full sweep.
 
-    Per iteration: stack the L kernel rows at representative states under
-    the current restricted policy, form PbarG as a sparse L x L matrix,
-    solve the aggregate system ``(I - alpha PbarG) R = c_bar`` by sparse
-    LU (dense LU only when PbarG is dense; the same residual certificate
-    either way), and improve the policy at representative states against
-    the interpolated values W = G R.  When the restricted policy is
+    Per iteration: bring the sparse L x L matrix PbarG and the costs c_bar
+    up to date with the current restricted policy, solve the aggregate
+    system ``(I - alpha PbarG) R = c_bar`` by sparse LU (dense LU only when
+    PbarG is dense; the same residual certificate either way), and improve
+    the policy at representative states against the interpolated values
+    W = G R.  The first iteration assembles all L kernel rows; later ones
+    call ``kernel_rows_at``/``costs_at`` only at the representatives whose
+    action changed and splice those rows into PbarG, which stays equal,
+    array for array, to a full re-assembly.  When the restricted policy is
     stable, a single greedy sweep over all states produces the full policy
     and its one-step value estimate, lifted through ``induced_apply``.
 
     Returns a PiReport whose ``value`` is V~ = c + alpha P (G R) under the
-    returned policy and whose ``R`` is the final aggregate value.
+    returned policy, whose ``R`` is the final aggregate value and whose
+    ``reps_changed`` counts the representatives changed per iteration.
     """
     reps = np.asarray(scheme.grid.rep_indices)
     L = len(reps)
@@ -336,17 +369,17 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     alpha = mdp.discount
     G = scheme.G
     times = {"compute_P": [], "evaluation": [], "update": []}
+    reps_changed = []
     t_start = _now_ms()
     seen = {policy_bar.tobytes()}
-    R = W = None
+    PbarG = c_bar = R = W = None
+    changed = np.arange(L)
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
         t0 = _now_ms()
-        Pbar = mdp.kernel_rows_at(reps, policy_bar)
-        c_bar = mdp.costs_at(reps, policy_bar)
-        PbarG = Pbar.csr @ G.csr
+        PbarG, c_bar = _assemble_rows(mdp, G, reps, policy_bar, changed, PbarG, c_bar)
         t1 = _now_ms()
         R = _solve_aggregate(PbarG, c_bar, alpha)
         t2 = _now_ms()
@@ -356,7 +389,9 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
         times["compute_P"].append(t1 - t0)
         times["evaluation"].append(t2 - t1)
         times["update"].append(t3 - t2)
-        if np.array_equal(new_bar, policy_bar):
+        changed = np.flatnonzero(new_bar != policy_bar)
+        reps_changed.append(len(changed))
+        if not changed.size:
             converged = True
             break
         key = new_bar.tobytes()
@@ -365,7 +400,12 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
                 "restricted policy cycled without stabilizing"
             )
             err.report = PiReport(
-                iterations=it, converged=False, policy=new_bar, R=R, timings_ms=times
+                iterations=it,
+                converged=False,
+                policy=new_bar,
+                R=R,
+                timings_ms=times,
+                reps_changed=reps_changed,
             )
             raise err
         seen.add(key)
@@ -381,6 +421,7 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
             policy=policy_bar,
             R=R,
             timings_ms=times,
+            reps_changed=reps_changed,
         )
         raise err
     # full update: one greedy sweep over every state against W = G R
@@ -400,6 +441,7 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
         value=V_tilde,
         R=R,
         timings_ms=times,
+        reps_changed=reps_changed,
     )
 
 

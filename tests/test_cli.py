@@ -264,6 +264,8 @@ def test_optimize_hospital2_without_baseline(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "optimize"
     assert summary["iterations"] >= 1
+    assert len(summary["reps_changed"]) == summary["iterations"]
+    assert summary["reps_changed"][-1] == 0
     assert summary["mean_rel_gap"] is None  # no exact baseline requested
     assert summary["bellman_max_pct"] is not None
     lines = (out / "values.csv").read_text().splitlines()
@@ -321,7 +323,11 @@ def test_optimize_hospital4_runs_baseline_by_default(tmp_path, monkeypatch):
         calls.append("api")
         zeros = np.zeros(mdp.lattice.size)
         return SimpleNamespace(
-            policy=zeros.astype(np.int64), value=zeros, timings_ms={}, iterations=1
+            policy=zeros.astype(np.int64),
+            value=zeros,
+            timings_ms={},
+            iterations=1,
+            reps_changed=[0],
         )
 
     def fake_exact(mdp, **kwargs):

@@ -1,11 +1,18 @@
 """Policy-iteration tests: exact PI against a dense oracle, the aggregated
-variant, greedy tie-breaking, and the residual / gap reports."""
+variant (against a full-rebuild oracle of its loop), greedy tie-breaking,
+and the residual / gap reports."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _oracles as orc
+from momentagg import control
+from momentagg.benchmarks import build_hospital, build_jrp, hospital_2ward, jrp_small
 from momentagg import (
     MarkovRewardProcess,
     NumericalError,
@@ -191,6 +198,208 @@ def test_aggregated_pi_threads_do_not_change_result():
     threaded = aggregated_policy_iteration(mdp, scheme)
     assert np.array_equal(serial.policy, threaded.policy)
     assert_allclose(serial.value, threaded.value, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# incremental aggregate assembly against the full-rebuild loop
+# ---------------------------------------------------------------------------
+
+def _full_rebuild_api(mdp, scheme, policy0=None, max_iter=100):
+    """Aggregated PI with every iteration re-assembling all L kernel rows
+    and the whole PbarG product: the loop the incremental splice replaces.
+
+    Returns the run's restricted policies and assembled (PbarG, c_bar) per
+    iteration, its last R, how it ended (``converged``, ``cycled`` or
+    ``capped``), the policy a report would carry, and on convergence the
+    full policy and lifted value.
+    """
+    reps = np.asarray(scheme.grid.rep_indices)
+    G = scheme.G
+    policy_bar = (
+        np.zeros(len(reps), dtype=np.int64)
+        if policy0 is None
+        else np.asarray(policy0, dtype=np.int64)
+    )
+    seen = {policy_bar.tobytes()}
+    run = SimpleNamespace(policies=[], systems=[], R=None, iterations=0)
+    for it in range(1, max_iter + 1):
+        run.iterations = it
+        run.policies.append(policy_bar)
+        PbarG = mdp.kernel_rows_at(reps, policy_bar).csr @ G.csr
+        c_bar = mdp.costs_at(reps, policy_bar)
+        run.systems.append((PbarG, c_bar))
+        run.R = control._solve_aggregate(PbarG, c_bar, mdp.discount)
+        W = G.apply(run.R)
+        new_bar, _ = control._greedy(mdp, reps, W)
+        if np.array_equal(new_bar, policy_bar):
+            run.outcome = "converged"
+            run.policy, _ = control._greedy(mdp, np.arange(mdp.lattice.size), W)
+            apply_P, c = mdp.induced_apply(run.policy)
+            run.value = c + mdp.discount * apply_P(W)
+            return run
+        if new_bar.tobytes() in seen:
+            run.outcome, run.policy = "cycled", new_bar
+            return run
+        seen.add(new_bar.tobytes())
+        policy_bar = new_bar
+    run.outcome, run.policy = "capped", policy_bar
+    return run
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_csr(A, B):
+    return all(_same_bytes(getattr(A, k), getattr(B, k)) for k in ("indptr", "indices", "data"))
+
+
+def _spied_api(monkeypatch, mdp, scheme, **kwargs):
+    """Run aggregated PI, recording every ``kernel_rows_at`` call and every
+    (PbarG, c_bar) handed to the aggregate solve.
+
+    Returns (report or raised NumericalError, row calls, systems).
+    """
+    calls, systems = [], []
+    rows_at, solve = mdp.kernel_rows_at, control._solve_aggregate
+
+    def spy_rows(indices, actions):
+        calls.append((np.array(indices), np.array(actions)))
+        return rows_at(indices, actions)
+
+    def spy_solve(PbarG, c_bar, alpha):
+        systems.append((PbarG, c_bar.copy()))
+        return solve(PbarG, c_bar, alpha)
+
+    monkeypatch.setattr(mdp, "kernel_rows_at", spy_rows, raising=False)
+    monkeypatch.setattr(control, "_solve_aggregate", spy_solve)
+    try:
+        outcome = aggregated_policy_iteration(mdp, scheme, **kwargs)
+    except NumericalError as err:
+        outcome = err
+    finally:
+        monkeypatch.undo()
+    return outcome, calls, systems
+
+
+def _check_against_oracle(monkeypatch, mdp, scheme, oracle_mdp=None, **kwargs):
+    """The incremental run matches the full-rebuild oracle bit for bit:
+    result, every assembled system, and the rows it asked the model for.
+    The oracle runs on ``oracle_mdp`` when the model keeps state."""
+    oracle = _full_rebuild_api(oracle_mdp or mdp, scheme, **kwargs)
+    outcome, calls, systems = _spied_api(monkeypatch, mdp, scheme, **kwargs)
+    reps = np.asarray(scheme.grid.rep_indices)
+    if oracle.outcome == "converged":
+        report = outcome
+        assert _same_bytes(report.policy, oracle.policy)
+        assert _same_bytes(report.value, oracle.value)
+    else:
+        assert isinstance(outcome, NumericalError)
+        report = outcome.report
+        assert ("cycled" in str(outcome)) == (oracle.outcome == "cycled")
+        assert _same_bytes(report.policy, oracle.policy)
+    assert _same_bytes(report.R, oracle.R)
+    assert report.iterations == oracle.iterations
+    assert len(systems) == len(calls) == oracle.iterations
+    # the first call assembles all L rows, later ones only the changed reps
+    assert np.array_equal(calls[0][0], reps)
+    assert np.array_equal(calls[0][1], oracle.policies[0])
+    for k in range(1, oracle.iterations):
+        changed = np.flatnonzero(oracle.policies[k] != oracle.policies[k - 1])
+        assert np.array_equal(calls[k][0], reps[changed])
+        assert np.array_equal(calls[k][1], oracle.policies[k][changed])
+    # each spliced system is, array for array, a fresh full assembly
+    for (PbarG, c_bar), (PbarG_ref, c_bar_ref) in zip(systems, oracle.systems):
+        assert _same_csr(PbarG, PbarG_ref)
+        assert _same_bytes(c_bar, c_bar_ref)
+    return report, oracle
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_jrp(jrp_small()), lambda: build_hospital(hospital_2ward())],
+    ids=["jrp_small", "hospital2"],
+)
+def test_incremental_assembly_matches_full_rebuild(monkeypatch, build):
+    mdp = build()
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    _, oracle = _check_against_oracle(monkeypatch, mdp, scheme)
+    assert oracle.outcome == "converged" and oracle.iterations >= 3
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(8, 40),
+    n_actions=st.integers(2, 4),
+    max_jump=st.integers(1, 3),
+)
+def test_incremental_assembly_matches_full_rebuild_on_tabular(seed, n, n_actions, max_jump):
+    mdp, *_ = _tabular(seed, (0,), (n - 1,), n_actions=n_actions, max_jump=max_jump)
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_against_oracle(monkeypatch, mdp, scheme)
+
+
+def test_reps_changed_counts_rebuilt_rows_on_hospital2(monkeypatch):
+    mdp = build_hospital(hospital_2ward())
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    report, calls, _ = _spied_api(monkeypatch, mdp, scheme)
+    L = scheme.grid.size
+    assert len(report.reps_changed) == report.iterations
+    assert report.reps_changed[-1] == 0 and min(report.reps_changed[:-1]) > 0
+    assert sum(len(idx) for idx, _ in calls) == L + sum(report.reps_changed)
+    assert exact_policy_iteration(mdp).reps_changed == []
+
+
+def test_aggregated_pi_iteration_cap_reports_last_iterate(monkeypatch):
+    mdp, *_ = _tabular(17, (0,), (40,), n_actions=3)
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    full = _full_rebuild_api(mdp, scheme)
+    assert full.outcome == "converged" and full.iterations >= 3
+    cap = full.iterations - 1  # stops after at least one splice
+    report, oracle = _check_against_oracle(monkeypatch, mdp, scheme, max_iter=cap)
+    assert oracle.outcome == "capped"
+    assert report.converged is False and report.iterations == cap
+    assert _same_bytes(report.policy, full.policies[cap])
+    assert len(report.reps_changed) == cap and min(report.reps_changed) > 0
+
+
+class _AlternatingMdp(TabularMdp):
+    """A model whose greedy step at the representatives alternates between
+    two fixed restricted policies, so aggregated PI cycles."""
+
+    def __init__(self, *args, alternate):
+        super().__init__(*args)
+        self.alternate = alternate
+        self.sweeps = 0
+
+    def greedy_at(self, indices, W):
+        actions = self.alternate[self.sweeps % 2]
+        self.sweeps += 1
+        return actions.copy(), np.zeros(len(actions))
+
+
+def test_aggregated_pi_cycle_reports_last_iterate(monkeypatch):
+    base, *_ = _tabular(18, (0,), (40,), n_actions=2)
+    scheme = build_scheme(build_grid(base.lattice, 0.45))
+    L = scheme.grid.size
+    A = (np.arange(L) % 2 == 0).astype(np.int64)  # 0 -> A changes the even reps
+    B = 1 - A  # A -> B sends the even reps back to their start action
+
+    def model():
+        return _AlternatingMdp(
+            base.lattice, base.kernels, base.costs, base.discount, alternate=(A, B)
+        )
+
+    report, oracle = _check_against_oracle(monkeypatch, model(), scheme, oracle_mdp=model())
+    assert oracle.outcome == "cycled" and oracle.iterations == 3
+    assert report.converged is False
+    assert _same_bytes(report.policy, A)
+    # the last R evaluates B, whose system was spliced from A's
+    assert _same_bytes(report.R, oracle.R)
+    assert report.reps_changed == [(L + 1) // 2, L, L]
 
 
 def test_lifted_mdp_materializes_sister_kernels():
