@@ -33,21 +33,18 @@ from .aggregation import (
     weights,
 )
 from .chain import (
-    DeltaReport,
     LocalMoments,
     MarkovRewardProcess,
     NumericalError,
     ResourceLimitError,
     RowStochasticMatrix,
     delta_at,
-    delta_f,
     exact_value,
     local_moments,
     m_step_chain,
     max_jump,
     scaled_value,
     solve_discounted,
-    sup_delta,
     verify_mstep_identity,
 )
 from .control import (
@@ -89,7 +86,6 @@ __all__ = [
     "RowStochasticMatrix",
     "MarkovRewardProcess",
     "LocalMoments",
-    "DeltaReport",
     "NumericalError",
     "ResourceLimitError",
     "solve_discounted",
@@ -100,8 +96,6 @@ __all__ = [
     "m_step_chain",
     "verify_mstep_identity",
     "delta_at",
-    "sup_delta",
-    "delta_f",
     "CoarseGrid",
     "axis_grid",
     "build_grid",

@@ -13,6 +13,10 @@ Three families:
   seeded reflecting walk with downward drift (``build_simple_rw``,
   ``build_two_point_chain``, ``build_reflecting_rw``).
 
+The two controlled families share one post-decision layer,
+``PostDecisionMdp``: an action picks a post-decision point, and from there
+each axis moves on its own under a 1-D kernel.
+
 Any probability mass that a transition would push outside the state box
 is clamped to the nearest boundary state, which keeps every row exactly
 stochastic.  ``save_mrp``/``load_mrp`` round-trip generated processes
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse, stats
@@ -41,6 +46,7 @@ __all__ = [
     "hospital_4ward",
     "build_jrp",
     "build_hospital",
+    "PostDecisionMdp",
     "JointReplenishmentMdp",
     "HospitalOverflowMdp",
     "build_simple_rw",
@@ -49,6 +55,144 @@ __all__ = [
     "save_mrp",
     "load_mrp",
 ]
+
+
+# ---------------------------------------------------------------------------
+# post-decision models
+# ---------------------------------------------------------------------------
+
+#: most entries ``PostDecisionMdp.induced`` materializes (about 1 GB of CSR)
+INDUCED_NNZ_BUDGET = 80_000_000
+
+
+class PostDecisionMdp(ControlledMdp):
+    """A controlled MDP whose actions pick a post-decision point.
+
+    An action moves state i to a point w of the post-decision box, of shape
+    ``post_shape``; from there each axis j moves on its own under the 1-D
+    kernel ``kernels[j]`` (row w_j: the distribution of the next state's
+    axis-j offset), so the transition row is ⊗_j K_j[w_j].
+
+    Subclasses set ``kernels`` (dense arrays or scipy CSR matrices) and
+    supply ``posts_at``, ``costs_at``, ``action_counts``/``n_actions`` and
+    ``greedy_at``.  Expectations, kernel rows and the induced chain are
+    defined here, once, from the kernels and the post points.
+    """
+
+    kernels: list
+
+    def posts_at(self, indices, actions):
+        """Flat post-decision index of each (state, action) pair; an
+        infeasible action raises ValueError naming its state."""
+        raise NotImplementedError
+
+    @property
+    def post_shape(self):
+        return tuple(K.shape[0] for K in self.kernels)
+
+    def expect(self, W):
+        """E[W(next) | post point w] for every w, shaped ``post_shape``.
+
+        One product with K_j along each axis j, axis 0 first; sparse K_j
+        stay sparse, so a sweep costs one small product per axis.
+        """
+        E = np.asarray(W, dtype=np.float64).reshape(self.lattice.shape)
+        for j, K in enumerate(self.kernels):
+            E = np.moveaxis(E, j, 0)
+            rest = E.shape[1:]
+            E = np.moveaxis((K @ E.reshape(len(E), -1)).reshape(K.shape[0], *rest), 0, j)
+        return np.ascontiguousarray(E)
+
+    @cached_property
+    def _spans(self):
+        """Per axis: the raveled dense kernel, its row length, and per row
+        the first nonzero column and the width of the span to the last."""
+        spans = []
+        for K in self.kernels:
+            K = np.ascontiguousarray(K.toarray() if sparse.issparse(K) else K)
+            nz = K != 0
+            lo = np.argmax(nz, axis=1)
+            width = K.shape[1] - np.argmax(nz[:, ::-1], axis=1) - lo
+            spans.append((K.ravel(), K.shape[1], lo, width))
+        return spans
+
+    def _kernel_csr(self, posts):
+        """CSR of the rows ⊗_j K_j[w_j] at the flat post points ``posts``.
+
+        Each row keeps exactly the nonzero entries of the outer product,
+        in its row-major order, so columns ascend without duplicates and
+        the CSR is canonical as built.  It is wrapped into a
+        RowStochasticMatrix by the caller, once this frame's temporaries
+        are freed.
+        """
+        w = np.unravel_index(np.asarray(posts, dtype=np.int64), self.post_shape)
+        n = self.lattice.size
+        # 32-bit columns when they fit (scipy would downcast them anyway)
+        itype = np.int32 if n < 2**31 else np.int64
+        cols = np.zeros(len(posts), dtype=itype)  # partial column per entry
+        vals = np.ones(len(posts))
+        sizes = np.ones(len(posts), dtype=np.int64)  # entries per row so far
+        for w_j, (flat, n_j, lo, width) in zip(w, self._spans):
+            # each entry expands over the span of K_j[w_j] from its first to
+            # its last nonzero column; zeros inside the span go at the end
+            wj = np.repeat(w_j, sizes)
+            k = width[wj]
+            shift = lo[wj] - (np.cumsum(k) - k)
+            ar = np.arange(int(k.sum()), dtype=itype)
+            cols = np.repeat((cols * n_j + shift).astype(itype), k)
+            cols += ar
+            t_idx = np.repeat((wj * n_j + shift).astype(itype), k)
+            t_idx += ar
+            del ar
+            t_val = flat[t_idx]
+            del t_idx
+            t_val *= np.repeat(vals, k)
+            vals = t_val
+            sizes *= width[w_j]
+        indptr = np.zeros(len(posts) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        keep = vals != 0.0
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            cols, vals = cols[keep], vals[keep]
+        return sparse.csr_matrix((vals, cols, indptr), shape=(len(posts), n))
+
+    def kernel_rows_at(self, indices, actions):
+        return RowStochasticMatrix(self._kernel_csr(self.posts_at(indices, actions)))
+
+    def kernel_row(self, i, a):
+        row = self.kernel_rows_at([i], [a]).csr
+        return row.indices, row.data
+
+    def action_cost(self, i, a):
+        return float(self.costs_at([i], [a])[0])
+
+    def induced_apply(self, policy):
+        policy = _full_policy(self, policy)
+        idx = np.arange(self.lattice.size)
+        posts = self.posts_at(idx, policy)
+
+        def apply_P(v):
+            return self.expect(v).ravel()[posts]
+
+        return apply_P, self.costs_at(idx, policy)
+
+    def induced(self, policy):
+        """(P, c) of the induced chain, refused before any kernel row is
+        built when its rows' spans hold more than ``INDUCED_NNZ_BUDGET``
+        entries."""
+        policy = _full_policy(self, policy)
+        idx = np.arange(self.lattice.size)
+        posts = self.posts_at(idx, policy)
+        w = np.unravel_index(posts, self.post_shape)
+        widths = [width[w_j] for w_j, (_, _, _, width) in zip(w, self._spans)]
+        nnz = int(np.sum(np.prod(widths, axis=0)))
+        if nnz > INDUCED_NNZ_BUDGET:
+            raise ResourceLimitError(
+                f"materializing the induced kernel of {len(idx)} states needs up "
+                f"to {nnz} entries (budget {INDUCED_NNZ_BUDGET}); use induced_apply instead"
+            )
+        return RowStochasticMatrix(self._kernel_csr(posts)), self.costs_at(idx, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +266,7 @@ def jrp_large():
     )
 
 
-class JointReplenishmentMdp(ControlledMdp):
+class JointReplenishmentMdp(PostDecisionMdp):
     """Joint replenishment as a controlled MDP on the inventory lattice.
 
     State: inventory pair (negative = backorders).  Action id
@@ -131,12 +275,9 @@ class JointReplenishmentMdp(ControlledMdp):
     breaks ties toward lexicographically smallest (q1, q2).
 
     An order moves state i to the post-order level z = i + q, after which
-    each item's demand acts on its own axis.  So E[v(next)] over all post-
-    order levels is one contraction with the per-axis demand-mixing
-    matrices (sparse), shared by greedy sweeps and by ``induced_apply``,
-    which evaluates the induced chain matrix-free by gathering it at each
-    state's z.  ``induced`` materializes the N-row kernel (for tests and
-    small-N diagnostics).
+    each item's demand acts on its own axis: the kernels are the per-item
+    demand-mixing matrices (sparse), and the post points are found by
+    arithmetic, with no action table (jrp_large has about 2.7e8 pairs).
     """
 
     def __init__(self, params):
@@ -145,58 +286,35 @@ class JointReplenishmentMdp(ControlledMdp):
         self.discount = float(params.discount)
         lo, up = self.lattice.lower, self.lattice.upper
         self._n2 = int(up[1] - lo[1] + 1)
-        self._widen = (
-            tuple(int(d) for d in params.demand_low)
-            if params.widen_orders
-            else (0, 0)
-        )
-        # per-item demand supports and (uniform) probabilities
-        self._dvals = [
-            np.arange(int(params.demand_low[i]), int(params.demand_high[i]) + 1)
-            for i in range(2)
-        ]
-        self._dprob = [np.full(len(v), 1.0 / len(v)) for v in self._dvals]
-        # post-order levels z = I + q range over [lo_i, up_i + widen_i]
-        self._zvals = [
-            np.arange(lo[i], up[i] + self._widen[i] + 1) for i in range(2)
-        ]
-        # per-axis expected holding/backorder of the clamped end inventory
-        self._stage = []
+        widen = params.demand_low if params.widen_orders else (0, 0)
+        self._stage, self.kernels = [], []
         for i in range(2):
-            ends = np.clip(
-                self._zvals[i][None, :] - self._dvals[i][:, None], lo[i], up[i]
+            # uniform demands; post-order levels z = I + q range over
+            # [lo_i, up_i + widen_i]
+            d = np.arange(int(params.demand_low[i]), int(params.demand_high[i]) + 1)
+            prob = np.full(len(d), 1.0 / len(d))
+            z = np.arange(lo[i], up[i] + int(widen[i]) + 1)
+            # expected holding/backorder of the clamped end inventory
+            ends = np.clip(z[None, :] - d[:, None], lo[i], up[i])
+            h = params.holding[i] * np.maximum(ends, 0) + (
+                params.backorder[i] * np.maximum(-ends, 0)
             )
-            h = params.holding[i] * np.maximum(ends, 0) + params.backorder[
-                i
-            ] * np.maximum(-ends, 0)
-            self._stage.append(self._dprob[i] @ h)
-        # clamped next-state offsets per (demand, z): index into axis i
-        self._nidx = [
-            (
-                np.clip(
-                    self._zvals[i][None, :] - self._dvals[i][:, None], lo[i], up[i]
-                )
-                - lo[i]
-            ).astype(np.int64)
-            for i in range(2)
-        ]
+            self._stage.append(prob @ h)
+            # demand-mixing matrix (CSR): row z is the distribution of the
+            # clamped next level on axis i; sparse products keep expect() at
+            # about 0.2 ms on jrp_large, against 12 ms for dense ones
+            M = np.zeros((len(z), self.lattice.shape[i]))
+            rows = np.arange(len(z))
+            for k in range(len(d)):
+                np.add.at(M, (rows, ends[k] - lo[i]), prob[k])
+            self.kernels.append(sparse.csr_matrix(M))
         # trucks needed for every feasible (q1, q2) block, C-ordered
-        nz1, nz2 = len(self._zvals[0]), len(self._zvals[1])
+        nz1, nz2 = self.post_shape
         q1 = np.arange(nz1)[:, None]
         q2 = np.arange(nz2)[None, :]
         self._trucks = params.major_cost * np.ceil(
             (q1 + q2) / params.truck_capacity
         )
-        # demand-mixing matrices (CSR): row z is the distribution of the
-        # clamped next level on axis i, so E_d[W] over the block is
-        # mix0 @ W @ mix1.T
-        self._mix = []
-        for i in range(2):
-            M = np.zeros((len(self._zvals[i]), self.lattice.shape[i]))
-            z = np.arange(len(self._zvals[i]))
-            for k in range(len(self._dvals[i])):
-                np.add.at(M, (z, self._nidx[i][k]), self._dprob[i][k])
-            self._mix.append(sparse.csr_matrix(M))
 
     # -- action bookkeeping ----------------------------------------------------
 
@@ -204,78 +322,48 @@ class JointReplenishmentMdp(ControlledMdp):
         """Coordinate offsets (i1, i2) of flat state i from the lower corner."""
         return int(i) // self._n2, int(i) % self._n2
 
-    def _counts(self, i):
-        i1, i2 = self._offsets(i)
-        return len(self._zvals[0]) - i1, len(self._zvals[1]) - i2
-
     def n_actions(self, i):
-        nq1, nq2 = self._counts(i)
-        return nq1 * nq2
+        i1, i2 = self._offsets(i)
+        return (self.post_shape[0] - i1) * (self.post_shape[1] - i2)
 
     def action_counts(self):
         i1, i2 = np.divmod(np.arange(self.lattice.size), self._n2)
-        return (len(self._zvals[0]) - i1) * (len(self._zvals[1]) - i2)
+        return (self.post_shape[0] - i1) * (self.post_shape[1] - i2)
 
     def action_quantities(self, i, a):
         """Decode action id to the order pair (q1, q2)."""
-        _, nq2 = self._counts(i)
-        q1, q2 = divmod(int(a), nq2)
-        return q1, q2
+        return divmod(int(a), self.post_shape[1] - self._offsets(i)[1])
 
-    def action_cost(self, i, a):
-        i1, i2 = self._offsets(i)
-        q1, q2 = self.action_quantities(i, a)
-        p = self.params
-        return float(
-            self._stage[0][i1 + q1]
-            + self._stage[1][i2 + q2]
-            + (p.minor_cost[0] if q1 > 0 else 0.0)
-            + (p.minor_cost[1] if q2 > 0 else 0.0)
-            + self._trucks[q1, q2]
-        )
-
-    def kernel_row(self, i, a):
-        i1, i2 = self._offsets(i)
-        q1, q2 = self.action_quantities(i, a)
-        c1 = self._nidx[0][:, i1 + q1]
-        c2 = self._nidx[1][:, i2 + q2]
-        cols = (c1[:, None] * self._n2 + c2[None, :]).ravel()
-        probs = (self._dprob[0][:, None] * self._dprob[1][None, :]).ravel()
-        return cols, probs  # clamped duplicates are summed downstream
-
-    # -- vectorized sweeps ------------------------------------------------------
-
-    def kernel_rows_at(self, indices, actions):
-        # the rows of kernel_row, stacked: entries stay in its (d1-major,
-        # d2-minor) order, so clamped duplicates are summed in the same order
+    def _orders(self, indices, actions):
+        """State offsets (i1, i2) and order quantities (q1, q2) of the
+        (state, action) pairs; an infeasible action raises ValueError."""
         indices = np.asarray(indices, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
         self.check_actions(indices, actions)
         i1, i2 = np.divmod(indices, self._n2)
-        q1, q2 = np.divmod(actions, len(self._zvals[1]) - i2)
-        c1 = self._nidx[0][:, i1 + q1].T
-        c2 = self._nidx[1][:, i2 + q2].T
-        cols = (c1[:, :, None] * self._n2 + c2[:, None, :]).reshape(len(indices), -1)
-        probs = (self._dprob[0][:, None] * self._dprob[1][None, :]).ravel()
-        rows = np.repeat(np.arange(len(indices)), probs.size)
-        return RowStochasticMatrix.from_coo(
-            rows,
-            cols.ravel(),
-            np.tile(probs, len(indices)),
-            (len(indices), self.lattice.size),
+        q1, q2 = np.divmod(actions, self.post_shape[1] - i2)
+        return i1, i2, q1, q2
+
+    def posts_at(self, indices, actions):
+        i1, i2, q1, q2 = self._orders(indices, actions)
+        return (i1 + q1) * self.post_shape[1] + (i2 + q2)
+
+    def costs_at(self, indices, actions):
+        i1, i2, q1, q2 = self._orders(indices, actions)
+        p = self.params
+        return (
+            self._stage[0][i1 + q1]
+            + self._stage[1][i2 + q2]
+            + np.where(q1 > 0, p.minor_cost[0], 0.0)
+            + np.where(q2 > 0, p.minor_cost[1], 0.0)
+            + self._trucks[q1, q2]
         )
 
-    def _expected_next(self, W):
-        """E_d[W(clamped z - d)] over the whole post-order block, C-ordered.
-
-        Two sparse products: on jrp_large they take 0.2 ms, the dense
-        mix0 @ W @ mix1.T 12 ms.
-        """
-        Wg = np.asarray(W, dtype=np.float64).reshape(self.lattice.shape)
-        return self._mix[0] @ (self._mix[1] @ Wg.T).T
+    # -- greedy sweeps -----------------------------------------------------------
 
     def greedy_at(self, indices, W):
-        EW = self._expected_next(W)
+        EW = self.expect(W)
+        nz1, nz2 = EW.shape
         alpha = self.discount
         k1, k2 = self.params.minor_cost
         actions = np.zeros(len(indices), dtype=np.int64)
@@ -286,7 +374,7 @@ class JointReplenishmentMdp(ControlledMdp):
                 self._stage[0][i1:, None]
                 + self._stage[1][None, i2:]
                 + alpha * EW[i1:, i2:]
-                + self._trucks[: len(self._zvals[0]) - i1, : len(self._zvals[1]) - i2]
+                + self._trucks[: nz1 - i1, : nz2 - i2]
             )
             block[1:, :] += k1
             block[:, 1:] += k2
@@ -294,47 +382,6 @@ class JointReplenishmentMdp(ControlledMdp):
             actions[k] = a
             qvals[k] = block.flat[a]
         return actions, qvals
-
-    def _policy_posts(self, policy):
-        """Post-order offsets (z1, z2) and one-step costs of a full policy;
-        an infeasible action raises ValueError naming its state."""
-        policy = _full_policy(self, policy)
-        i1, i2 = np.divmod(np.arange(self.lattice.size), self._n2)
-        q1, q2 = np.divmod(policy, len(self._zvals[1]) - i2)
-        z1, z2 = i1 + q1, i2 + q2
-        p = self.params
-        c = (
-            self._stage[0][z1]
-            + self._stage[1][z2]
-            + np.where(q1 > 0, p.minor_cost[0], 0.0)
-            + np.where(q2 > 0, p.minor_cost[1], 0.0)
-            + self._trucks[q1, q2]
-        )
-        return z1, z2, c
-
-    def induced_apply(self, policy):
-        z1, z2, c = self._policy_posts(policy)
-        at = z1 * len(self._zvals[1]) + z2  # flat post-order index
-
-        def apply_P(v):
-            return self._expected_next(v).ravel()[at]
-
-        return apply_P, c
-
-    def induced(self, policy):
-        z1, z2, c = self._policy_posts(policy)
-        n = self.lattice.size
-        m1, m2 = len(self._dvals[0]), len(self._dvals[1])
-        rows = np.tile(np.arange(n), m1 * m2)
-        cols = np.empty((m1 * m2, n), dtype=np.int64)
-        data = np.empty((m1 * m2, n))
-        for k1 in range(m1):
-            c1 = self._nidx[0][k1, z1] * self._n2
-            for k2 in range(m2):
-                cols[k1 * m2 + k2] = c1 + self._nidx[1][k2, z2]
-                data[k1 * m2 + k2] = self._dprob[0][k1] * self._dprob[1][k2]
-        P = RowStochasticMatrix.from_coo(rows, cols.ravel(), data.ravel(), (n, n))
-        return P, c
 
 
 def build_jrp(params):
@@ -473,7 +520,7 @@ def _ragged_arange(starts, counts):
     return np.repeat(starts - offsets, counts) + np.arange(int(np.sum(counts)))
 
 
-class HospitalOverflowMdp(ControlledMdp):
+class HospitalOverflowMdp(PostDecisionMdp):
     """Overflow routing as a controlled MDP on the occupancy lattice.
 
     Actions are integer routing matrices u (zero diagonal) satisfying
@@ -486,10 +533,8 @@ class HospitalOverflowMdp(ControlledMdp):
     :class:`ActionTable` of (post index, cost) pairs per state carries
     everything greedy sweeps and kernel assembly need.  It is built on
     first use, once, for all states.  Given the post-routing occupancy,
-    wards evolve independently, so all expectations factorize into
-    per-ward 1-D transition matrices; greedy sweeps and induced-chain
-    products run as tensor contractions without materializing the N x N
-    kernel.
+    wards evolve independently: the kernels are the per-ward 1-D
+    transition matrices (dense), and the post box is the lattice.
     """
 
     def __init__(self, params):
@@ -498,7 +543,7 @@ class HospitalOverflowMdp(ControlledMdp):
         self.J = J
         self.lattice = StateLattice((0,) * J, params.caps)
         self.discount = float(params.discount)
-        self.T = [
+        self.kernels = [
             _ward_matrix(params.caps[j], params.beds[j], params.service_probs[j],
                          params.arrival_rates[j])
             for j in range(J)
@@ -597,83 +642,20 @@ class HospitalOverflowMdp(ControlledMdp):
         """Decode action id to its routing matrix."""
         return self._actions(i)[0][int(a)]
 
-    def action_cost(self, i, a):
-        return float(self.table.costs[self._pair_ids([i], [a])[0]])
-
-    def kernel_row(self, i, a):
-        post = self.table.posts[self._pair_ids([i], [a])]
-        probs, cols, _ = self._post_rows(post)
-        return cols, probs
-
     # -- gathers over the table -------------------------------------------------
 
-    def _post_rows(self, posts):
-        """CSR arrays (data, indices, indptr) of the rows ⊗_j T_j[w_j] at the
-        post-routing occupancies w = ``posts``.
-
-        Each row keeps exactly the nonzero entries of the outer product,
-        in its row-major order, so columns ascend without duplicates.
-        """
-        w = self.lattice.to_coords(np.asarray(posts, dtype=np.int64))
-        # 32-bit columns when they fit (scipy would downcast them anyway)
-        itype = np.int32 if self.lattice.size < 2**31 else np.int64
-        cols = np.zeros(len(w), dtype=itype)  # partial column per entry
-        vals = np.ones(len(w))
-        sizes = np.ones(len(w), dtype=np.int64)  # entries per row so far
-        for j, T in enumerate(self.T):
-            # each entry expands over the span of T_j[w_j] from its first to
-            # its last nonzero column; zeros inside the span go at the end
-            n_j = T.shape[1]
-            nz = T != 0
-            lo = np.argmax(nz, axis=1)
-            width = n_j - np.argmax(nz[:, ::-1], axis=1) - lo
-            wj = np.repeat(w[:, j], sizes)
-            k = width[wj]
-            shift = lo[wj] - (np.cumsum(k) - k)
-            ar = np.arange(int(k.sum()), dtype=itype)
-            cols = np.repeat((cols * n_j + shift).astype(itype), k)
-            cols += ar
-            t_idx = np.repeat((wj * n_j + shift).astype(itype), k)
-            t_idx += ar
-            del ar
-            t_val = T.ravel()[t_idx]
-            del t_idx
-            t_val *= np.repeat(vals, k)
-            vals = t_val
-            sizes *= width[w[:, j]]
-        indptr = np.zeros(len(w) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        keep = vals != 0.0
-        if not keep.all():
-            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            cols, vals = cols[keep], vals[keep]
-        return vals, cols, indptr
-
-    def kernel_rows_at(self, indices, actions):
-        posts = self.table.posts[self._pair_ids(indices, actions)]
-        M = sparse.csr_matrix(
-            self._post_rows(posts), shape=(len(posts), self.lattice.size)
-        )
-        return RowStochasticMatrix(M)
+    def posts_at(self, indices, actions):
+        return self.table.posts[self._pair_ids(indices, actions)]
 
     def costs_at(self, indices, actions):
         return self.table.costs[self._pair_ids(indices, actions)]
-
-    # -- tensor-contraction sweeps ----------------------------------------------
-
-    def _contract(self, v):
-        """E[v(next occupancy) | post-routing occupancy = w] for every w."""
-        E = np.asarray(v, dtype=np.float64).reshape(self.lattice.shape)
-        for j in range(self.J):
-            E = np.moveaxis(np.tensordot(self.T[j], E, axes=(1, j)), 0, j)
-        return E
 
     def greedy_at(self, indices, W):
         t = self.table
         indices = np.asarray(indices, dtype=np.int64)
         counts = t.counts[indices]
         sel = _ragged_arange(t.indptr[indices], counts)
-        EW = self._contract(W).ravel()
+        EW = self.expect(W).ravel()
         q = t.costs[sel] + self.discount * EW[t.posts[sel]]
         # segment argmin keeping the first minimum (the lowest action id)
         seg = np.cumsum(counts) - counts
@@ -681,27 +663,6 @@ class HospitalOverflowMdp(ControlledMdp):
         pos = np.where(q == np.repeat(qmin, counts), np.arange(len(q)), len(q))
         first = np.minimum.reduceat(pos, seg)
         return first - seg, q[first]
-
-    def _policy_posts(self, policy):
-        pairs = self._pair_ids(np.arange(self.lattice.size), policy)
-        return self.table.posts[pairs], self.table.costs[pairs]
-
-    def induced_apply(self, policy):
-        posts, costs = self._policy_posts(policy)
-
-        def apply_P(v):
-            return self._contract(v).ravel()[posts]
-
-        return apply_P, costs
-
-    def induced(self, policy):
-        n = self.lattice.size
-        if n * n > 40_000_000:
-            raise ResourceLimitError(
-                f"materializing the induced kernel of {n} states needs up to "
-                f"{n}x{n} entries; use induced_apply instead"
-            )
-        return super().induced(policy)
 
 
 def build_hospital(params):

@@ -24,7 +24,6 @@ __all__ = [
     "RowStochasticMatrix",
     "MarkovRewardProcess",
     "LocalMoments",
-    "DeltaReport",
     "solve_discounted",
     "exact_value",
     "local_moments",
@@ -33,8 +32,6 @@ __all__ = [
     "m_step_chain",
     "verify_mstep_identity",
     "delta_at",
-    "sup_delta",
-    "delta_f",
 ]
 
 #: probabilities below this are dropped at construction, rows renormalized
@@ -230,14 +227,6 @@ class LocalMoments:
 
     mu: np.ndarray
     sigma2: np.ndarray
-
-
-@dataclass(frozen=True)
-class DeltaReport:
-    """Per-state and sup one-step deviation |P~f - Pf|."""
-
-    per_state: np.ndarray
-    sup: float
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +464,3 @@ def delta_at(P, P_tilde, f):
         raise ValueError("operand shapes disagree")
     return np.abs(b - a)
 
-
-def sup_delta(P, P_tilde, f):
-    """Sup over states of |P~f(x) - Pf(x)|."""
-    return float(np.max(delta_at(P, P_tilde, f)))
-
-
-def delta_f(P, P_tilde, f):
-    """Both forms of the one-step deviation, bundled."""
-    per_state = delta_at(P, P_tilde, f)
-    return DeltaReport(per_state=per_state, sup=float(np.max(per_state)))

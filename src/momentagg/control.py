@@ -46,16 +46,27 @@ __all__ = [
 class ControlledMdp:
     """Base class: per-state action sets with sparse kernels and costs.
 
-    Subclasses must implement ``n_actions``, ``kernel_row`` and
-    ``action_cost``; the bulk operations below have generic (loop-based)
-    implementations that subclasses override with vectorized ones.
+    There are two ways to subclass it:
+
+    * per (state, action) pair: implement ``n_actions``, ``kernel_row`` and
+      ``action_cost``.  The bulk operations below then run as generic
+      Python loops over states and actions; override the ones that can be
+      vectorized, as ``TabularMdp`` does for ``greedy_at`` and ``induced``.
+    * post-decision: derive from ``benchmarks.PostDecisionMdp``, whose
+      actions move a state to a post-decision point from which each axis
+      moves on its own.  It defines the kernel rows, one-row views and
+      the induced chain from per-axis kernels and the model's
+      ``posts_at``, ``costs_at`` and ``greedy_at``, so none of the loops
+      below is reached.
+
     Action ids are 0-based and contiguous per state; id 0 is always the
     "do nothing" action where the model has one.
     """
 
     lattice: StateLattice
     discount: float
-    #: worker threads for greedy sweeps; results are identical for any value
+    #: worker threads for greedy sweeps.  Results are identical at any
+    #: count; no benchmark instance sweeps faster with more than one
     threads: int = 1
 
     # -- required per-(state, action) interface -----------------------------

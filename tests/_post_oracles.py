@@ -1,0 +1,114 @@
+"""The per-family model code that ``PostDecisionMdp`` replaced, kept as
+test oracles.
+
+Each function is an old per-class method, written against the model's
+parameters, kernels and cost tables: the joint replenishment COO row
+builder, expected-next contraction (last axis first), scalar cost and
+post-order arithmetic, and the hospital's tensor contraction (axis 0
+first) and induced chain.  The hospital's kernel rows are checked against
+dense outer products in ``test_hospital_table``.  None of them calls the
+shared base class.
+"""
+
+import numpy as np
+
+from momentagg.chain import RowStochasticMatrix
+
+
+# ---------------------------------------------------------------------------
+# joint replenishment
+# ---------------------------------------------------------------------------
+
+def jrp_expected_next(mdp, W):
+    """E_d[W(clamped z - d)] over the post-order block: two sparse products,
+    the item-2 axis first."""
+    mix0, mix1 = mdp.kernels
+    Wg = np.asarray(W, dtype=np.float64).reshape(mdp.lattice.shape)
+    return mix0 @ (mix1 @ Wg.T).T
+
+
+def _jrp_next_offsets(mdp, j, z):
+    """Per demand of item j: its probability and the clamped next offset on
+    axis j from post-order offset z."""
+    p = mdp.params
+    lo, up = mdp.lattice.lower[j], mdp.lattice.upper[j]
+    d = np.arange(int(p.demand_low[j]), int(p.demand_high[j]) + 1)
+    return np.full(len(d), 1.0 / len(d)), np.clip(lo + z - d, lo, up) - lo
+
+
+def jrp_kernel_row(mdp, i, a):
+    """(columns, probabilities) of one row, one entry per demand pair in
+    (d1-major, d2-minor) order; clamped duplicates are not summed."""
+    i1, i2 = mdp._offsets(i)
+    q1, q2 = mdp.action_quantities(i, a)
+    p1, c1 = _jrp_next_offsets(mdp, 0, i1 + q1)
+    p2, c2 = _jrp_next_offsets(mdp, 1, i2 + q2)
+    cols = (c1[:, None] * mdp.lattice.shape[1] + c2[None, :]).ravel()
+    probs = (p1[:, None] * p2[None, :]).ravel()
+    return cols, probs
+
+
+def jrp_kernel_rows(mdp, indices, actions):
+    """The rows of ``jrp_kernel_row`` stacked through COO, so clamped
+    duplicates are summed in demand order."""
+    entries = [jrp_kernel_row(mdp, int(i), int(a)) for i, a in zip(indices, actions)]
+    return RowStochasticMatrix.from_rows(entries, mdp.lattice.size)
+
+
+def jrp_action_cost(mdp, i, a):
+    """Expected one-period cost of ordering (q1, q2) in state i."""
+    i1, i2 = mdp._offsets(i)
+    q1, q2 = mdp.action_quantities(i, a)
+    p = mdp.params
+    return float(
+        mdp._stage[0][i1 + q1]
+        + mdp._stage[1][i2 + q2]
+        + (p.minor_cost[0] if q1 > 0 else 0.0)
+        + (p.minor_cost[1] if q2 > 0 else 0.0)
+        + mdp._trucks[q1, q2]
+    )
+
+
+def jrp_costs(mdp, indices, actions):
+    return np.array([jrp_action_cost(mdp, int(i), int(a)) for i, a in zip(indices, actions)])
+
+
+def jrp_posts(mdp, indices, actions):
+    """Flat post-order index z1 * nz2 + z2 of each (state, action) pair."""
+    p = mdp.params
+    nz2 = mdp.lattice.shape[1] + (p.demand_low[1] if p.widen_orders else 0)
+    out = []
+    for i, a in zip(indices, actions):
+        i1, i2 = mdp._offsets(i)
+        q1, q2 = mdp.action_quantities(i, a)
+        out.append((i1 + q1) * nz2 + i2 + q2)
+    return np.array(out, dtype=np.int64)
+
+
+def jrp_induced_apply(mdp, policy):
+    """(apply, c) of the induced chain: the expected-next block gathered at
+    each state's post-order level."""
+    idx = np.arange(mdp.lattice.size)
+    at = jrp_posts(mdp, idx, policy)
+    return (lambda v: jrp_expected_next(mdp, v).ravel()[at]), jrp_costs(mdp, idx, policy)
+
+
+# ---------------------------------------------------------------------------
+# hospital overflow
+# ---------------------------------------------------------------------------
+
+def hospital_contract(mdp, v):
+    """E[v(next occupancy) | post-routing occupancy = w] for every w, one
+    tensordot per ward, ward 0 first."""
+    E = np.asarray(v, dtype=np.float64).reshape(mdp.lattice.shape)
+    for j in range(mdp.J):
+        E = np.moveaxis(np.tensordot(mdp.kernels[j], E, axes=(1, j)), 0, j)
+    return E
+
+
+def hospital_induced_apply(mdp, policy):
+    """(apply, c) of the induced chain: the contraction gathered at each
+    state's post-routing occupancy, read from the action table."""
+    pairs = mdp.table.indptr[:-1] + np.asarray(policy, dtype=np.int64)
+    posts = mdp.table.posts[pairs]
+    return (lambda v: hospital_contract(mdp, v).ravel()[posts]), mdp.table.costs[pairs]

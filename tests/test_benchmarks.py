@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _oracles as orc
+import _post_oracles as po
 from momentagg import (
     ControlledMdp,
     ResourceLimitError,
@@ -194,15 +195,18 @@ def test_jrp_greedy_matches_generic_sweep():
 
 @pytest.mark.parametrize("widen", [False, True])
 def test_jrp_kernel_rows_at_matches_generic_rows(widen):
-    # same COO entries in the same order, so duplicates sum bit for bit
+    # the parent's COO rows sum a clamped demand's probabilities pair by
+    # pair, the shared rows take products of per-item sums: same entries,
+    # values within a rounding
     mdp = _jrp_tiny(widen)
     rng = np.random.default_rng(13)
     idx = rng.integers(0, mdp.lattice.size, 60)
     actions = np.array([rng.integers(0, mdp.n_actions(i)) for i in idx])
     P = mdp.kernel_rows_at(idx, actions).csr
-    P_ref = ControlledMdp.kernel_rows_at(mdp, idx, actions).csr
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(P, name), getattr(P_ref, name))
+    P_ref = po.jrp_kernel_rows(mdp, idx, actions).csr
+    assert np.array_equal(P.indptr, P_ref.indptr)
+    assert np.array_equal(P.indices, P_ref.indices)
+    assert_allclose(P.data, P_ref.data, rtol=1e-15, atol=0)
     assert np.array_equal(mdp.action_counts(), ControlledMdp.action_counts(mdp))
     actions[7] = mdp.n_actions(int(idx[7]))
     with pytest.raises(ValueError, match=f"infeasible in state {idx[7]}"):
@@ -217,9 +221,12 @@ def test_jrp_induced_matches_generic():
         dtype=np.int64,
     )
     P, c = mdp.induced(policy)
-    P_ref, c_ref = ControlledMdp.induced(mdp, policy)
-    assert_allclose(P.toarray(), P_ref.toarray(), atol=1e-13)
-    assert_allclose(c, c_ref, atol=1e-10)
+    idx = np.arange(mdp.lattice.size)
+    P_ref = po.jrp_kernel_rows(mdp, idx, policy).csr
+    assert np.array_equal(P.csr.indptr, P_ref.indptr)
+    assert np.array_equal(P.csr.indices, P_ref.indices)
+    assert_allclose(P.csr.data, P_ref.data, rtol=1e-15, atol=0)
+    assert np.array_equal(c, po.jrp_costs(mdp, idx, policy))
 
 
 def _random_policy(mdp, seed):
@@ -274,7 +281,7 @@ def test_jrp_exact_pi_same_with_materialized_chain(monkeypatch):
 def test_ward_matrix_matches_enumeration():
     mdp = build_hospital(hospital_2ward())
     p = mdp.params
-    T = mdp.T[0]
+    T = mdp.kernels[0]
     assert_allclose(T.sum(axis=1), 1.0, atol=1e-12)
     for w in (0, 5, 12, 30, 42):
         expect = orc.hospital_ward_row(
@@ -336,7 +343,7 @@ def test_hospital_kernel_row_factorizes():
     dense = np.zeros(mdp.lattice.size)
     cols, probs = mdp.kernel_row(i, a)
     dense[cols] = probs
-    expect = np.outer(mdp.T[0][post[0]], mdp.T[1][post[1]]).ravel()
+    expect = np.outer(mdp.kernels[0][post[0]], mdp.kernels[1][post[1]]).ravel()
     assert_allclose(dense, expect, atol=1e-14)
 
 

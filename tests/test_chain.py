@@ -19,14 +19,12 @@ from momentagg import (
     RowStochasticMatrix,
     StateLattice,
     delta_at,
-    delta_f,
     exact_value,
     local_moments,
     m_step_chain,
     max_jump,
     scaled_value,
     solve_discounted,
-    sup_delta,
     verify_mstep_identity,
 )
 from momentagg.benchmarks import build_simple_rw, build_two_point_chain
@@ -496,13 +494,13 @@ def test_delta_zero_for_equal_kernels():
     P, _ = orc.random_dense_chain(51, 25)
     M = RowStochasticMatrix(P)
     f = np.random.default_rng(0).random(25)
-    assert sup_delta(M, M, f) == 0.0
+    assert delta_at(M, M, f).max() == 0.0
 
 
 def test_delta_zero_for_constant_f():
     P, _ = orc.random_dense_chain(52, 25)
     Q, _ = orc.random_dense_chain(53, 25)
-    assert sup_delta(RowStochasticMatrix(P), RowStochasticMatrix(Q), np.full(25, 3.7)) <= 1e-12
+    assert delta_at(RowStochasticMatrix(P), RowStochasticMatrix(Q), np.full(25, 3.7)).max() <= 1e-12
 
 
 def test_delta_first_moment_example_pair():
@@ -511,9 +509,9 @@ def test_delta_first_moment_example_pair():
     walk = build_simple_rw(n, alpha=0.9)
     two = build_two_point_chain(n, alpha=0.9)
     f = np.arange(n + 1.0)
-    report = delta_f(walk.P, two.P, f)
-    assert report.sup <= 1e-12
-    assert report.per_state.shape == (n + 1,)
+    per_state = delta_at(walk.P, two.P, f)
+    assert per_state.max() <= 1e-12
+    assert per_state.shape == (n + 1,)
 
 
 def test_delta_rejects_matrix_valued_f():
@@ -536,5 +534,5 @@ def test_lemma1_value_perturbation_bound(seed):
     Vt = orc.dense_value(Q, c, alpha)
     lhs = np.max(np.abs(V - Vt))
     MP, MQ = RowStochasticMatrix(P), RowStochasticMatrix(Q)
-    rhs = alpha / (1 - alpha) * (sup_delta(MP, MQ, V) + sup_delta(MP, MQ, Vt))
+    rhs = alpha / (1 - alpha) * (delta_at(MP, MQ, V).max() + delta_at(MP, MQ, Vt).max())
     assert lhs <= rhs + 1e-8

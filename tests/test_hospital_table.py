@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import _post_oracles as po
 from momentagg.benchmarks import (
     HospitalOverflowMdp,
     HospitalParams,
@@ -74,7 +75,7 @@ def oracle_table(mdp, states):
 
 def loop_greedy(mdp, table, indices, W):
     """Per-state greedy: one argmin over each state's actions."""
-    EW = mdp._contract(W).ravel()
+    EW = mdp.expect(W).ravel()
     actions = np.zeros(len(indices), dtype=np.int64)
     qvals = np.empty(len(indices))
     for k, i in enumerate(indices):
@@ -89,9 +90,9 @@ def loop_greedy(mdp, table, indices, W):
 def dense_kernel_row(mdp, post):
     """Nonzeros of the raveled outer product of the ward rows at ``post``."""
     w = mdp.lattice.to_coords(int(post))
-    row = mdp.T[0][w[0]]
+    row = mdp.kernels[0][w[0]]
     for j in range(1, mdp.J):
-        row = np.multiply.outer(row, mdp.T[j][w[j]])
+        row = np.multiply.outer(row, mdp.kernels[j][w[j]])
     row = row.ravel()
     nz = np.flatnonzero(row)
     return nz, row[nz]
@@ -186,7 +187,7 @@ def test_induced_matches_dense_rows():
     policy = random_actions(np.random.default_rng(23), mdp, np.arange(n))
     P, c = mdp.induced(policy)
     dense = np.stack([
-        np.multiply.outer(mdp.T[0][w[0]], mdp.T[1][w[1]]).ravel()
+        np.multiply.outer(mdp.kernels[0][w[0]], mdp.kernels[1][w[1]]).ravel()
         for w in mdp.lattice.to_coords(np.array([table[i][1][a] for i, a in enumerate(policy)]))
     ])
     assert_same_csr(P, RowStochasticMatrix(dense))
@@ -299,5 +300,10 @@ def test_random_instances_match_oracles(params, seed):
     ref_actions, ref_qvals = loop_greedy(mdp, table, states, W)
     assert np.array_equal(actions, ref_actions)
     assert np.array_equal(qvals, ref_qvals)
+    assert np.array_equal(mdp.expect(W), po.hospital_contract(mdp, W))
     policy = random_actions(rng, mdp, states)
     assert_same_csr(mdp.kernel_rows_at(states, policy), stacked_rows(mdp, table, states, policy))
+    apply_P, c = mdp.induced_apply(policy)
+    ref_apply, ref_c = po.hospital_induced_apply(mdp, policy)
+    assert np.array_equal(c, ref_c)
+    assert np.array_equal(apply_P(W), ref_apply(W))

@@ -1,0 +1,222 @@
+"""The shared post-decision layer against the per-family code it replaced.
+
+``PostDecisionMdp`` defines ``expect``, kernel rows, one-row views and the
+induced chain once for joint replenishment and hospital overflow.  The
+oracles in ``_post_oracles`` are the parent per-class implementations.
+The hospital keeps its contraction order (axis 0 first), so everything
+there is bit-equal; its random small instances are checked in
+``test_hospital_table``.  Joint replenishment now contracts axis 0 first where
+it used to contract axis 1 first, and its rows take products of per-item
+sums where the old rows summed demand pairs, so values there agree to a
+few roundings of a nonnegative sum.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+import _post_oracles as po
+from test_hospital_table import random_actions
+from momentagg import (
+    ControlledMdp,
+    ResourceLimitError,
+    aggregated_policy_iteration,
+    build_grid,
+    build_scheme,
+    exact_policy_iteration,
+)
+from momentagg import benchmarks
+from momentagg.benchmarks import (
+    JrpParams,
+    PostDecisionMdp,
+    build_hospital,
+    build_jrp,
+    hospital_2ward,
+    hospital_3ward,
+    hospital_4ward,
+    jrp_large,
+    jrp_small,
+)
+
+# expect: a nonnegative sum of at most 25 terms, summed in another order,
+# moves by at most a few dozen roundings relative
+SUM_RTOL = 1e-14
+# rows: products of per-item sums of at most 5 equal probabilities against
+# sums of their products (at most 3.5e-16 apart in 400 random instances)
+ROW_RTOL = 1e-15
+
+
+def _assert_same_structure(got, want, rtol):
+    got, want = got.csr, want.csr
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    if rtol == 0:
+        assert np.array_equal(got.data, want.data)
+    else:
+        assert_allclose(got.data, want.data, rtol=rtol, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# random small instances
+# ---------------------------------------------------------------------------
+
+@st.composite
+def jrp_params(draw):
+    lower, upper, low, high = [], [], [], []
+    for _ in range(2):
+        lo = draw(st.integers(-8, 0))
+        lower.append(lo)
+        upper.append(draw(st.integers(lo + 1, lo + 14)))  # at most 15 levels
+        d = draw(st.integers(0, 3))
+        low.append(d)
+        high.append(draw(st.integers(d, d + 4)))
+    cost = st.integers(0, 20).map(float) | st.floats(0.0, 20.0)
+    return JrpParams(
+        demand_low=tuple(low),
+        demand_high=tuple(high),
+        holding=(draw(cost), draw(cost)),
+        backorder=(draw(cost), draw(cost)),
+        minor_cost=(draw(cost), draw(cost)),
+        major_cost=draw(cost),
+        truck_capacity=draw(st.integers(1, 6)),
+        lower=tuple(lower),
+        upper=tuple(upper),
+        discount=0.95,
+        widen_orders=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(params=jrp_params(), seed=st.integers(0, 2**16))
+def test_jrp_matches_parent_code(params, seed):
+    mdp = build_jrp(params)
+    n = mdp.lattice.size
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n)
+    policy = random_actions(rng, mdp, idx)
+    W = rng.random(n) * 100.0
+    assert_allclose(mdp.expect(W), po.jrp_expected_next(mdp, W), rtol=SUM_RTOL, atol=0)
+    assert np.array_equal(mdp.posts_at(idx, policy), po.jrp_posts(mdp, idx, policy))
+    _assert_same_structure(
+        mdp.kernel_rows_at(idx, policy), po.jrp_kernel_rows(mdp, idx, policy), ROW_RTOL
+    )
+    costs = po.jrp_costs(mdp, idx, policy)
+    assert np.array_equal(mdp.costs_at(idx, policy), costs)
+    for i in rng.integers(0, n, 5):
+        a = int(policy[i])
+        assert mdp.action_cost(int(i), a) == po.jrp_action_cost(mdp, int(i), a)
+        cols, probs = mdp.kernel_row(int(i), a)
+        row = mdp.kernel_rows_at([i], [a]).csr
+        assert np.array_equal(cols, row.indices) and np.array_equal(probs, row.data)
+    apply_P, c = mdp.induced_apply(policy)
+    ref_apply, c_ref = po.jrp_induced_apply(mdp, policy)
+    assert np.array_equal(c, c_ref)
+    assert_allclose(apply_P(W), ref_apply(W), rtol=SUM_RTOL, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# benchmark instances
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [hospital_2ward, hospital_3ward, hospital_4ward])
+def test_hospital_expect_bit_equal_to_contraction(make):
+    mdp = build_hospital(make())
+    rng = np.random.default_rng(31)
+    W = rng.random(mdp.lattice.size) * 500.0
+    assert np.array_equal(mdp.expect(W), po.hospital_contract(mdp, W))
+
+
+@pytest.mark.parametrize("make", [jrp_small, jrp_large])
+def test_jrp_benchmark_rows_and_expect_match_parent(make):
+    mdp = build_jrp(make())
+    rng = np.random.default_rng(32)
+    W = rng.random(mdp.lattice.size) * 500.0
+    EW = mdp.expect(W)
+    assert EW.flags.c_contiguous and EW.shape == mdp.post_shape
+    assert_allclose(EW, po.jrp_expected_next(mdp, W), rtol=SUM_RTOL, atol=0)
+    idx = rng.integers(0, mdp.lattice.size, 500)
+    actions = random_actions(rng, mdp, idx)
+    _assert_same_structure(
+        mdp.kernel_rows_at(idx, actions), po.jrp_kernel_rows(mdp, idx, actions), ROW_RTOL
+    )
+
+
+def _span_entries(mdp, policy):
+    """Entries the induced rows' spans hold: the product of the per-axis
+    widths from first to last nonzero, summed over states."""
+    posts = mdp.posts_at(np.arange(mdp.lattice.size), policy)
+    w = np.unravel_index(posts, mdp.post_shape)
+    total = np.ones(len(posts), dtype=np.int64)
+    for w_j, K in zip(w, mdp.kernels):
+        K = K.toarray() if hasattr(K, "toarray") else K
+        nz = K[w_j] != 0
+        first = np.argmax(nz, axis=1)
+        last = K.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+        total *= last - first + 1
+    return int(total.sum())
+
+
+@pytest.mark.parametrize(
+    "build, fits",
+    [
+        (lambda: build_hospital(hospital_2ward()), True),
+        (lambda: build_jrp(jrp_large()), True),
+        (lambda: build_hospital(hospital_3ward()), False),
+        (lambda: build_hospital(hospital_4ward()), False),
+    ],
+    ids=["hospital2", "jrp_large", "hospital3", "hospital4"],
+)
+def test_induced_nnz_budget(build, fits, monkeypatch):
+    mdp = build()
+    n = mdp.lattice.size
+    policy = np.zeros(n, dtype=np.int64)
+    entries = _span_entries(mdp, policy)
+    assert (entries <= benchmarks.INDUCED_NNZ_BUDGET) == fits
+    if fits:
+        P, c = mdp.induced(policy)
+        assert P.shape == (n, n) and 0 < P.nnz <= entries
+        assert np.array_equal(c, mdp.costs_at(np.arange(n), policy))
+        monkeypatch.setattr(benchmarks, "INDUCED_NNZ_BUDGET", entries - 1)
+        with pytest.raises(ResourceLimitError, match="induced_apply"):
+            mdp.induced(policy)
+        monkeypatch.setattr(benchmarks, "INDUCED_NNZ_BUDGET", entries)
+        assert mdp.induced(policy)[0].nnz == P.nnz
+    else:
+        # refused from the widths alone, before any kernel row is built
+        def no_rows(posts):
+            raise AssertionError("rows built past the budget")
+
+        monkeypatch.setattr(mdp, "_kernel_csr", no_rows)
+        with pytest.raises(ResourceLimitError, match=f"{entries} entries.*induced_apply"):
+            mdp.induced(policy)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_jrp(jrp_small()), lambda: build_hospital(hospital_2ward())],
+    ids=["jrp_small", "hospital2"],
+)
+def test_solvers_reach_no_loop_fallback(build, monkeypatch):
+    mdp = build()
+    assert isinstance(mdp, PostDecisionMdp)
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    expect = aggregated_policy_iteration(mdp, scheme)
+    expect_exact = exact_policy_iteration(mdp)
+
+    def loop_fallback(*args, **kwargs):
+        raise AssertionError("a ControlledMdp loop fallback was reached")
+
+    for name in (
+        "kernel_row", "action_cost", "costs_at", "kernel_rows_at",
+        "greedy_at", "action_counts", "induced", "induced_apply",
+    ):
+        monkeypatch.setattr(ControlledMdp, name, loop_fallback)
+    got = aggregated_policy_iteration(mdp, scheme)
+    got_exact = exact_policy_iteration(mdp)
+    assert np.array_equal(got.policy, expect.policy)
+    assert np.array_equal(got.value, expect.value)
+    assert np.array_equal(got_exact.policy, expect_exact.policy)
+    assert np.array_equal(got_exact.value, expect_exact.value)
