@@ -315,6 +315,11 @@ class JointReplenishmentMdp(PostDecisionMdp):
         self._trucks = params.major_cost * np.ceil(
             (q1 + q2) / params.truck_capacity
         )
+        # the whole order cost of every (q1, q2): trucks plus the minor
+        # cost of each item ordered
+        self._order_costs = self._trucks.copy()
+        self._order_costs[1:, :] += params.minor_cost[0]
+        self._order_costs[:, 1:] += params.minor_cost[1]
 
     # -- action bookkeeping ----------------------------------------------------
 
@@ -362,22 +367,21 @@ class JointReplenishmentMdp(PostDecisionMdp):
     # -- greedy sweeps -----------------------------------------------------------
 
     def greedy_at(self, indices, W):
+        """Greedy actions and Q-values at ``indices`` against W.
+
+        The post-order value stage(z) + alpha E[W | z] is tabulated once per
+        call; state i's q-block is its corner from z = i on plus the order
+        costs, so each state costs one add and one argmin, whose first
+        minimum is the lowest action id.
+        """
         EW = self.expect(W)
         nz1, nz2 = EW.shape
-        alpha = self.discount
-        k1, k2 = self.params.minor_cost
+        post = (self._stage[0][:, None] + self._stage[1][None, :]) + self.discount * EW
         actions = np.zeros(len(indices), dtype=np.int64)
         qvals = np.empty(len(indices))
         for k, i in enumerate(np.asarray(indices)):
             i1, i2 = self._offsets(i)
-            block = (
-                self._stage[0][i1:, None]
-                + self._stage[1][None, i2:]
-                + alpha * EW[i1:, i2:]
-                + self._trucks[: nz1 - i1, : nz2 - i2]
-            )
-            block[1:, :] += k1
-            block[:, 1:] += k2
+            block = post[i1:, i2:] + self._order_costs[: nz1 - i1, : nz2 - i2]
             a = int(np.argmin(block))
             actions[k] = a
             qvals[k] = block.flat[a]

@@ -1,13 +1,14 @@
-"""The per-family model code that ``PostDecisionMdp`` replaced, kept as
-test oracles.
+"""The per-family model code that ``PostDecisionMdp`` and the JRP
+post-order greedy table replaced, kept as test oracles.
 
 Each function is an old per-class method, written against the model's
 parameters, kernels and cost tables: the joint replenishment COO row
-builder, expected-next contraction (last axis first), scalar cost and
-post-order arithmetic, and the hospital's tensor contraction (axis 0
-first) and induced chain.  The hospital's kernel rows are checked against
-dense outer products in ``test_hospital_table``.  None of them calls the
-shared base class.
+builder, expected-next contraction (last axis first), scalar cost,
+per-state greedy loop and post-order arithmetic, and the hospital's
+tensor contraction (axis 0 first) and induced chain.  The hospital's
+kernel rows are checked against dense outer products in
+``test_hospital_table``.  Only the greedy loop calls the shared base
+class, for ``expect``, so that it checks the q-block arithmetic alone.
 """
 
 import numpy as np
@@ -71,6 +72,32 @@ def jrp_action_cost(mdp, i, a):
 
 def jrp_costs(mdp, indices, actions):
     return np.array([jrp_action_cost(mdp, int(i), int(a)) for i, a in zip(indices, actions)])
+
+
+def jrp_greedy_loop(mdp, indices, W):
+    """Greedy actions and Q-values, each state's q-block built from scratch:
+    stage costs, discounted expectation and trucks, then the minor costs of
+    the rows and columns that order."""
+    EW = mdp.expect(W)
+    nz1, nz2 = EW.shape
+    alpha = mdp.discount
+    k1, k2 = mdp.params.minor_cost
+    actions = np.zeros(len(indices), dtype=np.int64)
+    qvals = np.empty(len(indices))
+    for k, i in enumerate(np.asarray(indices)):
+        i1, i2 = mdp._offsets(i)
+        block = (
+            mdp._stage[0][i1:, None]
+            + mdp._stage[1][None, i2:]
+            + alpha * EW[i1:, i2:]
+            + mdp._trucks[: nz1 - i1, : nz2 - i2]
+        )
+        block[1:, :] += k1
+        block[:, 1:] += k2
+        a = int(np.argmin(block))
+        actions[k] = a
+        qvals[k] = block.flat[a]
+    return actions, qvals
 
 
 def jrp_posts(mdp, indices, actions):

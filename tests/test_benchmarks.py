@@ -12,7 +12,10 @@ import _post_oracles as po
 from momentagg import (
     ControlledMdp,
     ResourceLimitError,
+    aggregated_policy_iteration,
     benchmarks,
+    build_grid,
+    build_scheme,
     exact_policy_iteration,
     exact_value,
     induced_mrp,
@@ -182,15 +185,43 @@ def test_jrp_zero_demand_no_order_is_absorbing():
         assert mdp.action_cost(i, 0) == pytest.approx(expect)
 
 
-def test_jrp_greedy_matches_generic_sweep():
-    mdp = _jrp_tiny()
+def _converged_W(mdp):
+    """G R of aggregated PI run to convergence on ``mdp``."""
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    return scheme.G.apply(aggregated_policy_iteration(mdp, scheme).R)
+
+
+_GREEDY_W = {
+    "random": lambda mdp, rng: rng.random(mdp.lattice.size) * 500.0,
+    "zeros": lambda mdp, rng: np.zeros(mdp.lattice.size),
+    # a coarse W of whole hundreds; "zeros" has the most tied minima
+    # (134 states of jrp_small)
+    "hundreds": lambda mdp, rng: 100.0 * rng.integers(0, 4, mdp.lattice.size),
+    "api": lambda mdp, rng: _converged_W(mdp),
+}
+
+
+@pytest.mark.parametrize("w_kind", list(_GREEDY_W))
+@pytest.mark.parametrize(
+    "make", [lambda: build_jrp(jrp_small()), lambda: _jrp_tiny(widen=True)],
+    ids=["jrp_small", "widened"],
+)
+def test_jrp_greedy_matches_generic_sweep(make, w_kind):
+    # every state against the per-state loop the post-order table replaced
+    # (the table adds the order costs in one rounding where the loop takes
+    # three), and states with few actions against the generic sweep
+    mdp = make()
     rng = np.random.default_rng(9)
-    W = rng.random(mdp.lattice.size) * 50.0
-    idx = rng.integers(0, mdp.lattice.size, 40)
+    W = _GREEDY_W[w_kind](mdp, rng)
+    idx = np.arange(mdp.lattice.size)
     actions, qvals = mdp.greedy_at(idx, W)
-    ref_actions, ref_qvals = ControlledMdp.greedy_at(mdp, idx, W)
+    ref_actions, ref_qvals = po.jrp_greedy_loop(mdp, idx, W)
     assert np.array_equal(actions, ref_actions)
-    assert_allclose(qvals, ref_qvals, atol=1e-9)
+    assert np.all(np.abs(qvals - ref_qvals) <= 2 * np.spacing(np.abs(ref_qvals)))
+    few = rng.choice(np.flatnonzero(mdp.action_counts() <= 200), 20, replace=False)
+    gen_actions, gen_qvals = ControlledMdp.greedy_at(mdp, few, W)
+    assert np.array_equal(actions[few], gen_actions)
+    assert_allclose(qvals[few], gen_qvals, rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.parametrize("widen", [False, True])

@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _oracles as orc
+import _post_oracles as po
 from momentagg import control
-from momentagg.benchmarks import build_hospital, build_jrp, hospital_2ward, jrp_small
+from momentagg.benchmarks import (
+    JointReplenishmentMdp,
+    build_hospital,
+    build_jrp,
+    hospital_2ward,
+    jrp_small,
+)
 from momentagg import (
     MarkovRewardProcess,
     NumericalError,
@@ -198,6 +205,23 @@ def test_aggregated_pi_threads_do_not_change_result():
     threaded = aggregated_policy_iteration(mdp, scheme)
     assert np.array_equal(serial.policy, threaded.policy)
     assert_allclose(serial.value, threaded.value, atol=0.0)
+
+
+def test_jrp_solvers_same_with_per_state_greedy_loop(monkeypatch):
+    # both solvers reach the same policies, and exact PI the same value,
+    # when the JRP greedy runs as the per-state loop it replaced
+    mdp = build_jrp(jrp_small())
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    api = aggregated_policy_iteration(mdp, scheme)
+    exact = exact_policy_iteration(mdp)
+    monkeypatch.setattr(JointReplenishmentMdp, "greedy_at", po.jrp_greedy_loop)
+    api_loop = aggregated_policy_iteration(mdp, scheme)
+    exact_loop = exact_policy_iteration(mdp)
+    assert np.array_equal(api.policy, api_loop.policy)
+    assert_allclose(api.R, api_loop.R, rtol=1e-13, atol=0)
+    assert_allclose(api.value, api_loop.value, rtol=1e-13, atol=0)
+    assert np.array_equal(exact.policy, exact_loop.policy)
+    assert np.array_equal(exact.value, exact_loop.value)
 
 
 # ---------------------------------------------------------------------------
