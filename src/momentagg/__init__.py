@@ -20,15 +20,11 @@ from . import benchmarks, cli
 from .aggregation import (
     AggregationScheme,
     SecondMomentReport,
-    SisterChain,
     build_G,
     build_scheme,
-    enclosing_box,
     first_moment_gap,
-    lift_transition,
     lifted_chain,
     mstep_scheme,
-    mstep_weights,
     second_moment_gap,
     weights,
 )
@@ -52,12 +48,10 @@ from .control import (
     ControlledMdp,
     GapReport,
     PiReport,
-    TabularMdp,
     aggregated_policy_iteration,
     bellman_residual,
     exact_policy_iteration,
     induced_mrp,
-    lifted_mdp,
     optimality_gap_report,
 )
 from .evaluation import (
@@ -103,15 +97,11 @@ __all__ = [
     "build_U",
     "meta_count_bound",
     "AggregationScheme",
-    "SisterChain",
     "SecondMomentReport",
-    "enclosing_box",
     "weights",
-    "mstep_weights",
     "build_G",
     "build_scheme",
     "mstep_scheme",
-    "lift_transition",
     "lifted_chain",
     "first_moment_gap",
     "second_moment_gap",
@@ -122,7 +112,6 @@ __all__ = [
     "interpolation_residuals",
     "interpolation_bound_check",
     "ControlledMdp",
-    "TabularMdp",
     "PiReport",
     "BellmanResidualReport",
     "GapReport",
@@ -131,7 +120,6 @@ __all__ = [
     "aggregated_policy_iteration",
     "bellman_residual",
     "optimality_gap_report",
-    "lifted_mdp",
     "benchmarks",
     "cli",
 ]

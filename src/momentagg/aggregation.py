@@ -13,11 +13,11 @@ sister chain P~ = P G U, which shares every local first moment with P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy import sparse
 
+from . import chain
 from .chain import (
     MarkovRewardProcess,
     ResourceLimitError,
@@ -28,16 +28,12 @@ from .grid import CoarseGrid, build_U
 
 __all__ = [
     "AggregationScheme",
-    "SisterChain",
     "SecondMomentReport",
-    "enclosing_box",
     "weights",
-    "mstep_weights",
     "build_G",
     "build_scheme",
     "mstep_scheme",
     "lifted_chain",
-    "lift_transition",
     "first_moment_gap",
     "second_moment_gap",
 ]
@@ -86,58 +82,22 @@ def _interp_csr(grid, points, *, clamp=False):
     return M.tocsr()
 
 
-def enclosing_box(grid, y):
-    """Corners of the smallest grid box containing y.
+def weights(grid, point, *, clamp=False):
+    """Multilinear corner weights of one point, as {meta_index: weight}.
 
-    Returns a list of (meta_index, corner_state) pairs; axes on which y
-    hits a grid value exactly are collapsed, so the list has at most 2^d
-    and possibly fewer entries, in lexicographic corner order.
-    """
-    y = np.asarray(y)
-    if not grid.lattice.contains(y):
-        raise ValueError(f"state {y} outside the lattice")
-    d = grid.lattice.dims
-    options = []
-    for i in range(d):
-        lo, hi, _ = _bracket(grid.axes[i], np.array([y[i]]), clamp=False)
-        options.append((int(lo[0]),) if lo[0] == hi[0] else (int(lo[0]), int(hi[0])))
-    out = []
-    for combo in product(*options):
-        meta = int(np.ravel_multi_index(combo, grid.shape))
-        corner = np.array([grid.axes[i][combo[i]] for i in range(d)])
-        out.append((meta, corner))
-    return out
-
-
-def weights(grid, y):
-    """Multilinear corner weights of a lattice state, as {meta_index: weight}."""
-    y = np.asarray(y)
-    if not grid.lattice.contains(y):
-        raise ValueError(f"state {y} outside the lattice")
-    row = _interp_csr(grid, y[None, :])
-    return {
-        int(c): float(w) for c, w in zip(row.indices, row.data) if w > 0.0
-    }
-
-
-def mstep_weights(grid, target, *, clamp=False):
-    """Interpolation weights at a (generally non-integer) target point.
-
-    Used for m-step moment coupling, where the matched point is
-    E_y[X_{m-1}] rather than y itself.  With ``clamp`` the target is
+    The keys are the corners of the smallest grid box enclosing the point;
+    axes on which it hits a grid value collapse to one corner.  The point
+    may be fractional (an m-step target E_y[X_{m-1}]); with ``clamp`` it is
     clipped into the grid hull instead of raising.
     """
-    target = np.asarray(target, dtype=np.float64)
-    row = _interp_csr(grid, target[None, :], clamp=clamp)
+    row = _interp_csr(grid, [point], clamp=clamp)
     return {
         int(c): float(w) for c, w in zip(row.indices, row.data) if w > 0.0
     }
 
 
-def build_G(grid, lattice=None):
+def build_G(grid):
     """N x L aggregation matrix: row y holds the corner weights of y."""
-    if lattice is not None and lattice != grid.lattice:
-        raise ValueError("grid was built for a different lattice")
     return RowStochasticMatrix(_interp_csr(grid, grid.lattice.all_states()))
 
 
@@ -177,26 +137,11 @@ def mstep_scheme(mrp, grid, m, *, clamp=False):
     return AggregationScheme(grid=grid, U=build_U(grid), G=G)
 
 
-def lift_transition(P, scheme, *, nnz_budget=80_000_000):
-    """Materialize P G U as a sparse N x N row-stochastic matrix."""
-    M = P.csr @ scheme.G.csr
-    if M.nnz > nnz_budget:
-        raise ResourceLimitError(
-            f"lifted chain exceeded nnz budget ({M.nnz} > {nnz_budget})"
-        )
-    # right-multiplying by the binary U just routes meta column l to the
-    # lattice column of representative l (rep indices increase with l,
-    # so the CSR stays sorted)
-    cols = np.asarray(scheme.grid.rep_indices)[M.indices]
-    out = sparse.csr_matrix((M.data, cols, M.indptr), shape=(P.n_rows, P.n_cols))
-    return RowStochasticMatrix(out)
-
-
 class SisterChain:
     """The lifted chain P~ = P G U, kept in operator form.
 
     ``apply`` chains the three sparse products; ``materialize`` builds the
-    explicit matrix (guarded by an nnz budget) for small instances.
+    explicit matrix, refused past ``chain.NNZ_BUDGET`` entries.
     """
 
     def __init__(self, base, scheme):
@@ -214,31 +159,39 @@ class SisterChain:
         parts = self.scheme.U.apply(f)
         return self.base.P.apply(self.scheme.G.apply(parts))
 
-    def materialize(self, *, nnz_budget=80_000_000):
+    def materialize(self):
+        """P G U as a sparse N x N row-stochastic matrix (built once)."""
         if self._matrix is None:
-            self._matrix = lift_transition(
-                self.base.P, self.scheme, nnz_budget=nnz_budget
+            M = self.base.P.csr @ self.scheme.G.csr
+            if M.nnz > chain.NNZ_BUDGET:
+                raise ResourceLimitError(
+                    f"lifted chain exceeded nnz budget ({M.nnz} > {chain.NNZ_BUDGET})"
+                )
+            # right-multiplying by the binary U just routes meta column l to
+            # the lattice column of representative l (rep indices increase
+            # with l, so the CSR stays sorted)
+            cols = np.asarray(self.scheme.grid.rep_indices)[M.indices]
+            n = self.lattice.size
+            self._matrix = RowStochasticMatrix(
+                sparse.csr_matrix((M.data, cols, M.indptr), shape=(n, n))
             )
         return self._matrix
 
-    def to_mrp(self, *, nnz_budget=80_000_000):
+    def to_mrp(self):
         """The sister process <lattice, P~, c, alpha> with P~ materialized."""
         return MarkovRewardProcess(
-            self.base.lattice,
-            self.materialize(nnz_budget=nnz_budget),
-            self.base.cost,
-            self.base.discount,
+            self.base.lattice, self.materialize(), self.base.cost, self.base.discount
         )
 
     def __repr__(self):
         return f"SisterChain(N={self.lattice.size}, L={self.scheme.grid.size})"
 
 
-def lifted_chain(mrp, scheme, *, materialize=False, nnz_budget=80_000_000):
+def lifted_chain(mrp, scheme, *, materialize=False):
     """Sister chain of a Markov reward process under an aggregation scheme."""
     sister = SisterChain(mrp, scheme)
     if materialize:
-        sister.materialize(nnz_budget=nnz_budget)
+        sister.materialize()
     return sister
 
 

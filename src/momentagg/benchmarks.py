@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse, stats
 
+from . import chain
 from .chain import MarkovRewardProcess, ResourceLimitError, RowStochasticMatrix
 from .control import ControlledMdp, _full_policy
 from .lattice import StateLattice
@@ -60,10 +61,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # post-decision models
 # ---------------------------------------------------------------------------
-
-#: most entries ``PostDecisionMdp.induced`` materializes (about 1 GB of CSR)
-INDUCED_NNZ_BUDGET = 80_000_000
-
 
 class PostDecisionMdp(ControlledMdp):
     """A controlled MDP whose actions pick a post-decision point.
@@ -160,13 +157,6 @@ class PostDecisionMdp(ControlledMdp):
     def kernel_rows_at(self, indices, actions):
         return RowStochasticMatrix(self._kernel_csr(self.posts_at(indices, actions)))
 
-    def kernel_row(self, i, a):
-        row = self.kernel_rows_at([i], [a]).csr
-        return row.indices, row.data
-
-    def action_cost(self, i, a):
-        return float(self.costs_at([i], [a])[0])
-
     def induced_apply(self, policy):
         policy = _full_policy(self, policy)
         idx = np.arange(self.lattice.size)
@@ -179,7 +169,7 @@ class PostDecisionMdp(ControlledMdp):
 
     def induced(self, policy):
         """(P, c) of the induced chain, refused before any kernel row is
-        built when its rows' spans hold more than ``INDUCED_NNZ_BUDGET``
+        built when its rows' spans hold more than ``chain.NNZ_BUDGET``
         entries."""
         policy = _full_policy(self, policy)
         idx = np.arange(self.lattice.size)
@@ -187,10 +177,10 @@ class PostDecisionMdp(ControlledMdp):
         w = np.unravel_index(posts, self.post_shape)
         widths = [width[w_j] for w_j, (_, _, _, width) in zip(w, self._spans)]
         nnz = int(np.sum(np.prod(widths, axis=0)))
-        if nnz > INDUCED_NNZ_BUDGET:
+        if nnz > chain.NNZ_BUDGET:
             raise ResourceLimitError(
                 f"materializing the induced kernel of {len(idx)} states needs up "
-                f"to {nnz} entries (budget {INDUCED_NNZ_BUDGET}); use induced_apply instead"
+                f"to {nnz} entries (budget {chain.NNZ_BUDGET}); use induced_apply instead"
             )
         return RowStochasticMatrix(self._kernel_csr(posts)), self.costs_at(idx, policy)
 

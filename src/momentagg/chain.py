@@ -38,6 +38,10 @@ __all__ = [
 PROB_DROP = 1e-15
 #: absolute tolerance on row sums at validation time
 ROWSUM_TOL = 1e-12
+#: most entries any materialization may hold (about 1 GB of CSR); matrix
+#: powers, the lifted chain and induced kernels past it raise
+#: ResourceLimitError
+NNZ_BUDGET = 80_000_000
 
 
 class NumericalError(RuntimeError):
@@ -55,7 +59,7 @@ class NumericalError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A materialization exceeded its configured nnz budget."""
+    """A materialization would exceed ``NNZ_BUDGET``."""
 
 
 class RowStochasticMatrix:
@@ -171,13 +175,8 @@ class RowStochasticMatrix:
             )
         return self.csr @ f
 
-    def matmul(self, other):
-        """Stochastic product with another row-stochastic matrix."""
-        M = self.csr @ other.csr
-        return RowStochasticMatrix(M)
-
-    def power(self, m, *, nnz_budget=80_000_000):
-        """Exact sparse m-step matrix, guarded by an nnz budget."""
+    def power(self, m):
+        """Exact sparse m-step matrix, guarded by ``NNZ_BUDGET``."""
         if m < 1 or m != int(m):
             raise ValueError("power requires integer m >= 1")
         if self.n_rows != self.n_cols:
@@ -185,9 +184,9 @@ class RowStochasticMatrix:
         out = self.csr.copy()
         for _ in range(int(m) - 1):
             out = out @ self.csr
-            if out.nnz > nnz_budget:
+            if out.nnz > NNZ_BUDGET:
                 raise ResourceLimitError(
-                    f"matrix power exceeded nnz budget ({out.nnz} > {nnz_budget})"
+                    f"matrix power exceeded nnz budget ({out.nnz} > {NNZ_BUDGET})"
                 )
         return RowStochasticMatrix(out)
 
@@ -404,14 +403,14 @@ def scaled_value(mrp, eps, *, tol=1e-10):
 # m-step utilities
 # ---------------------------------------------------------------------------
 
-def m_step_chain(mrp, m, *, nnz_budget=80_000_000):
+def m_step_chain(mrp, m):
     """Process watched every m steps: transition P^m, discount alpha^m."""
     if m < 1 or m != int(m):
         raise ValueError("m must be an integer >= 1")
     m = int(m)
     if m == 1:
         return mrp
-    Pm = mrp.P.power(m, nnz_budget=nnz_budget)
+    Pm = mrp.P.power(m)
     return MarkovRewardProcess(mrp.lattice, Pm, mrp.cost, mrp.discount**m)
 
 

@@ -136,6 +136,20 @@ def _parse_int_tuple(text):
     return tuple(int(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _parse_bool(key, text):
+    """A boolean config value; unset or empty means true."""
+    word = "" if text is None else str(text).strip().lower()
+    if not word or word in _TRUE:
+        return True
+    if word in _FALSE:
+        return False
+    raise ConfigError(f"{key} must be one of {'/'.join(_TRUE + _FALSE)}, not {text!r}")
+
+
 def load_config(path, overrides=None):
     """Parse an INI run configuration.
 
@@ -175,8 +189,8 @@ def load_config(path, overrides=None):
         "instance_file": get(prob, "file"),
         "size": get(prob, "n"),
         "grid_source": get(prob, "grid", "auto"),
-        "baseline": get(prob, "baseline") or "true",  # empty means unset
-        "exact": get(prob, "exact", "true"),
+        "baseline": get(prob, "baseline"),
+        "exact": get(prob, "exact"),
         "lower": get(prob, "lower"),
         "upper": get(prob, "upper"),
         "seed": get(solver, "seed", "0"),
@@ -218,8 +232,8 @@ def load_config(path, overrides=None):
             instance_file=values["instance_file"],
             size=None if values["size"] in (None, "") else int(values["size"]),
             grid_source=str(values["grid_source"]),
-            baseline=str(values["baseline"]).lower() in ("1", "true", "yes", "on"),
-            exact=str(values["exact"]).lower() in ("1", "true", "yes", "on"),
+            baseline=_parse_bool("baseline", values["baseline"]),
+            exact=_parse_bool("exact", values["exact"]),
             lower=None if values["lower"] in (None, "") else _parse_int_tuple(values["lower"]),
             upper=None if values["upper"] in (None, "") else _parse_int_tuple(values["upper"]),
         )
@@ -329,9 +343,25 @@ def _resolve_policy(cfg, mdp):
     path = Path(cfg.policy)
     if not path.exists():
         raise ConfigError(f"policy file not found: {cfg.policy}")
-    policy = np.load(path).astype(np.int64)
-    if policy.shape != (mdp.lattice.size,):
+    try:
+        raw = np.load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read policy file {cfg.policy}: {exc}") from exc
+    if not isinstance(raw, np.ndarray) or raw.dtype.kind not in "iuf":
+        raise ConfigError(f"policy file {cfg.policy} must hold integer action ids")
+    if raw.shape != (mdp.lattice.size,):
         raise ConfigError("policy file length does not match the state count")
+    bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.round(raw)))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(
+            f"policy file {cfg.policy}: action {raw[i]} in state {i} is not an integer"
+        )
+    policy = raw.astype(np.int64)
+    try:
+        mdp.check_actions(np.arange(mdp.lattice.size), policy)
+    except ValueError as exc:
+        raise ConfigError(f"policy file {cfg.policy}: {exc}") from exc
     return policy, None
 
 

@@ -24,14 +24,13 @@ import numpy as np
 from scipy import sparse
 
 from ._parallel import run_chunked
-from .chain import MarkovRewardProcess, NumericalError, RowStochasticMatrix, solve_discounted
+from .chain import MarkovRewardProcess, NumericalError, solve_discounted
 from .evaluation import VALUE_FLOOR, GapReport, optimality_gap_report
 from .evaluation import _solve as _solve_aggregate
 from .lattice import StateLattice
 
 __all__ = [
     "ControlledMdp",
-    "TabularMdp",
     "PiReport",
     "BellmanResidualReport",
     "GapReport",
@@ -40,24 +39,26 @@ __all__ = [
     "aggregated_policy_iteration",
     "bellman_residual",
     "optimality_gap_report",
-    "lifted_mdp",
 ]
 
 class ControlledMdp:
-    """Base class: per-state action sets with sparse kernels and costs.
+    """Base class of the controlled models the solvers accept.
 
-    There are two ways to subclass it:
+    A model sets ``lattice`` and ``discount`` and supplies the bulk
+    operations the solvers call, each over many states at once:
 
-    * per (state, action) pair: implement ``n_actions``, ``kernel_row`` and
-      ``action_cost``.  The bulk operations below then run as generic
-      Python loops over states and actions; override the ones that can be
-      vectorized, as ``TabularMdp`` does for ``greedy_at`` and ``induced``.
-    * post-decision: derive from ``benchmarks.PostDecisionMdp``, whose
-      actions move a state to a post-decision point from which each axis
-      moves on its own.  It defines the kernel rows, one-row views and
-      the induced chain from per-axis kernels and the model's
-      ``posts_at``, ``costs_at`` and ``greedy_at``, so none of the loops
-      below is reached.
+    * ``action_counts()`` — the number of actions of every state;
+    * ``greedy_at(indices, W)`` — argmin_a c(x,a) + alpha sum_y p^a(x,y) W(y)
+      at the given states, as (actions, q_values), ties to the lowest id;
+    * ``kernel_rows_at(indices, actions)`` / ``costs_at(indices, actions)``
+      — stacked transition rows (a RowStochasticMatrix) and costs of the
+      chosen actions;
+    * ``induced(policy)`` / ``induced_apply(policy)`` — the chain of a full
+      policy as (P, c), materialized or as (matvec, c).
+
+    Both benchmark families derive from ``benchmarks.PostDecisionMdp``,
+    which defines the kernel rows and the induced chain once from per-axis
+    kernels and the model's post-decision points.
 
     Action ids are 0-based and contiguous per state; id 0 is always the
     "do nothing" action where the model has one.
@@ -68,26 +69,6 @@ class ControlledMdp:
     #: worker threads for greedy sweeps.  Results are identical at any
     #: count; no benchmark instance sweeps faster with more than one
     threads: int = 1
-
-    # -- required per-(state, action) interface -----------------------------
-
-    def n_actions(self, i):
-        raise NotImplementedError
-
-    def kernel_row(self, i, a):
-        """(columns, probabilities) of the transition row for action a."""
-        raise NotImplementedError
-
-    def action_cost(self, i, a):
-        raise NotImplementedError
-
-    # -- bulk operations (override for speed) --------------------------------
-
-    def action_counts(self):
-        """Number of actions of every state, in flat-index order."""
-        return np.array(
-            [self.n_actions(i) for i in range(self.lattice.size)], dtype=np.int64
-        )
 
     def check_actions(self, indices, actions):
         """Raise ValueError naming the first state whose action is not one
@@ -100,56 +81,6 @@ class ControlledMdp:
         if bad.size:
             k = bad[0]
             raise ValueError(f"action {actions[k]} infeasible in state {indices[k]}")
-
-    def greedy_at(self, indices, W):
-        """argmin_a c(x,a) + alpha * sum_y p^a(x,y) W(y) at the given states.
-
-        Returns (actions, q_values); ties break to the lowest action id.
-        """
-        W = np.asarray(W, dtype=np.float64)
-        alpha = self.discount
-        actions = np.zeros(len(indices), dtype=np.int64)
-        qvals = np.empty(len(indices))
-        for k, i in enumerate(np.asarray(indices)):
-            i = int(i)
-            best_a, best_q = 0, np.inf
-            for a in range(self.n_actions(i)):
-                cols, probs = self.kernel_row(i, a)
-                q = self.action_cost(i, a) + alpha * float(probs @ W[cols])
-                if q < best_q:  # strict, so the lowest action id wins ties
-                    best_a, best_q = a, q
-            actions[k], qvals[k] = best_a, best_q
-        return actions, qvals
-
-    def kernel_rows_at(self, indices, actions):
-        """Stacked kernel rows (len(indices) x N) for chosen actions."""
-        n = self.lattice.size
-        entries = [
-            self.kernel_row(int(i), int(a)) for i, a in zip(indices, actions)
-        ]
-        return RowStochasticMatrix.from_rows(entries, n)
-
-    def costs_at(self, indices, actions):
-        return np.array(
-            [self.action_cost(int(i), int(a)) for i, a in zip(indices, actions)]
-        )
-
-    def induced(self, policy):
-        """(P, c) of the chain obtained by following ``policy`` everywhere."""
-        policy = _full_policy(self, policy)
-        idx = np.arange(self.lattice.size)
-        P = self.kernel_rows_at(idx, policy)
-        c = self.costs_at(idx, policy)
-        return P, c
-
-    def induced_apply(self, policy):
-        """(apply, c): matrix-free form of the induced chain.
-
-        The default materializes; subclasses whose kernels have product
-        structure override this to avoid forming the N-row kernel.
-        """
-        P, c = self.induced(policy)
-        return P.apply, c
 
 
 def induced_mrp(mdp, policy):
@@ -166,75 +97,6 @@ def _full_policy(mdp, policy):
         raise ValueError(f"policy must assign an action to each of {n} states")
     mdp.check_actions(np.arange(n), policy)
     return policy
-
-
-class TabularMdp(ControlledMdp):
-    """Dense-action MDP: the same action ids everywhere, one kernel each.
-
-    Parameters
-    ----------
-    lattice : StateLattice
-    kernels : list of RowStochasticMatrix, one N x N matrix per action
-    costs : (A, N) nonnegative array
-    discount : float in (0, 1)
-    """
-
-    def __init__(self, lattice, kernels, costs, discount):
-        costs = np.asarray(costs, dtype=np.float64)
-        n = lattice.size
-        if costs.ndim != 2 or costs.shape[1] != n or costs.shape[0] != len(kernels):
-            raise ValueError("costs must be (n_actions, n_states)")
-        if np.any(costs < 0) or not np.all(np.isfinite(costs)):
-            raise ValueError("costs must be finite and nonnegative")
-        for K in kernels:
-            if K.shape != (n, n):
-                raise ValueError("every kernel must be N x N")
-        if not (0.0 < discount < 1.0):
-            raise ValueError("discount must lie in (0, 1)")
-        self.lattice = lattice
-        self.kernels = list(kernels)
-        self.costs = costs
-        self.discount = float(discount)
-
-    def n_actions(self, i):
-        return len(self.kernels)
-
-    def kernel_row(self, i, a):
-        return self.kernels[a].row(i)
-
-    def action_cost(self, i, a):
-        return float(self.costs[a, i])
-
-    def greedy_at(self, indices, W):
-        indices = np.asarray(indices)
-        Q = np.stack(
-            [
-                self.costs[a, indices]
-                + self.discount * (self.kernels[a].csr[indices] @ W)
-                for a in range(len(self.kernels))
-            ]
-        )
-        actions = np.argmin(Q, axis=0)  # first minimum = lowest action id
-        return actions.astype(np.int64), Q[actions, np.arange(len(indices))]
-
-    def induced(self, policy):
-        policy = _full_policy(self, policy)
-        rows = [self.kernels[a].row(i) for i, a in enumerate(policy)]
-        P = RowStochasticMatrix.from_rows(rows, self.lattice.size)
-        c = self.costs[policy, np.arange(self.lattice.size)]
-        return P, c
-
-
-def lifted_mdp(mdp, scheme, *, nnz_budget=80_000_000):
-    """Tabular MDP whose kernels are the lifted P^a G U (costs unchanged)."""
-    from .aggregation import lift_transition
-
-    if not isinstance(mdp, TabularMdp):
-        raise TypeError("lifting materialized kernels requires a TabularMdp")
-    kernels = [
-        lift_transition(K, scheme, nnz_budget=nnz_budget) for K in mdp.kernels
-    ]
-    return TabularMdp(mdp.lattice, kernels, mdp.costs, mdp.discount)
 
 
 @dataclass

@@ -181,10 +181,8 @@ def grid_from_axes(lattice, axes):
     return _assemble(lattice, cleaned, None)
 
 
-def build_U(grid, lattice=None):
+def build_U(grid):
     """Binary L x N selector: row l puts mass 1 on representative state l."""
-    if lattice is not None and lattice != grid.lattice:
-        raise ValueError("grid was built for a different lattice")
     L, N = grid.size, grid.lattice.size
     return RowStochasticMatrix.from_coo(
         np.arange(L), grid.rep_indices, np.ones(L), (L, N)

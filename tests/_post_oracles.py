@@ -1,7 +1,14 @@
-"""The per-family model code that ``PostDecisionMdp`` and the JRP
-post-order greedy table replaced, kept as test oracles.
+"""The model code that ``PostDecisionMdp``, the JRP post-order greedy table
+and the per-model bulk operations replaced, kept as test oracles.
 
-Each function is an old per-class method, written against the model's
+The generic functions are the per-(state, action) loops ``ControlledMdp``
+once ran for models that gave only one row and one cost at a time; here
+they ask the model for each pair through ``kernel_rows_at([i], [a])`` and
+``costs_at([i], [a])``, so they check a model's bulk operations against
+its own one-pair answers.  ``induced`` and ``induced_apply`` are the
+materializing defaults.
+
+Each family function is an old per-class method, written against the model's
 parameters, kernels and cost tables: the joint replenishment COO row
 builder, expected-next contraction (last axis first), scalar cost,
 per-state greedy loop and post-order arithmetic, and the hospital's
@@ -14,6 +21,68 @@ class, for ``expect``, so that it checks the q-block arithmetic alone.
 import numpy as np
 
 from momentagg.chain import RowStochasticMatrix
+from momentagg.control import _full_policy
+
+
+# ---------------------------------------------------------------------------
+# generic per-(state, action) loops
+# ---------------------------------------------------------------------------
+
+def one_row(mdp, i, a):
+    """(columns, probabilities) of one transition row."""
+    row = mdp.kernel_rows_at([i], [a]).csr
+    return row.indices, row.data
+
+
+def one_cost(mdp, i, a):
+    return float(mdp.costs_at([i], [a])[0])
+
+
+def action_counts(mdp):
+    """Number of actions of every state, in flat-index order."""
+    return np.array([mdp.n_actions(i) for i in range(mdp.lattice.size)], dtype=np.int64)
+
+
+def greedy_at(mdp, indices, W):
+    """argmin_a c(x,a) + alpha * sum_y p^a(x,y) W(y), one action at a time;
+    ties break to the lowest action id."""
+    W = np.asarray(W, dtype=np.float64)
+    alpha = mdp.discount
+    actions = np.zeros(len(indices), dtype=np.int64)
+    qvals = np.empty(len(indices))
+    for k, i in enumerate(np.asarray(indices)):
+        i = int(i)
+        best_a, best_q = 0, np.inf
+        for a in range(mdp.n_actions(i)):
+            cols, probs = one_row(mdp, i, a)
+            q = one_cost(mdp, i, a) + alpha * float(probs @ W[cols])
+            if q < best_q:  # strict, so the lowest action id wins ties
+                best_a, best_q = a, q
+        actions[k], qvals[k] = best_a, best_q
+    return actions, qvals
+
+
+def kernel_rows_at(mdp, indices, actions):
+    """Stacked kernel rows (len(indices) x N), one pair at a time."""
+    entries = [one_row(mdp, int(i), int(a)) for i, a in zip(indices, actions)]
+    return RowStochasticMatrix.from_rows(entries, mdp.lattice.size)
+
+
+def costs_at(mdp, indices, actions):
+    return np.array([one_cost(mdp, int(i), int(a)) for i, a in zip(indices, actions)])
+
+
+def induced(mdp, policy):
+    """(P, c) of the chain obtained by following ``policy`` everywhere."""
+    policy = _full_policy(mdp, policy)
+    idx = np.arange(mdp.lattice.size)
+    return mdp.kernel_rows_at(idx, policy), mdp.costs_at(idx, policy)
+
+
+def induced_apply(mdp, policy):
+    """(apply, c) of the induced chain, through the materialized kernel."""
+    P, c = mdp.induced(policy)
+    return P.apply, c
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Aggregation-operator tests: enclosing boxes, multilinear weights, the
-lifted sister chain, and the moment-matching diagnostics."""
+"""Aggregation-operator tests: enclosing boxes and multilinear weights of
+lattice states and m-step targets, the lifted sister chain, and the
+moment-matching diagnostics."""
 
 import numpy as np
 import pytest
@@ -10,20 +11,16 @@ from numpy.testing import assert_allclose
 import _oracles as orc
 from momentagg import (
     MarkovRewardProcess,
-    ResourceLimitError,
     RowStochasticMatrix,
     StateLattice,
     build_G,
     build_grid,
     build_scheme,
-    enclosing_box,
     first_moment_gap,
     grid_from_axes,
-    lift_transition,
     lifted_chain,
     local_moments,
     mstep_scheme,
-    mstep_weights,
     second_moment_gap,
     weights,
 )
@@ -43,34 +40,35 @@ def _random_mrp(seed, lower, upper, **kw):
 
 
 # ---------------------------------------------------------------------------
-# enclosing_box / weights
+# weights: the enclosing box's corners and their multilinear weights
 # ---------------------------------------------------------------------------
+
+def _corners(grid, point):
+    return sorted(tuple(grid.rep_states[l]) for l in weights(grid, point))
+
 
 def test_enclosing_box_representative_state():
     grid = _grid_0136_squared()
-    corners = enclosing_box(grid, (3, 6))
-    assert len(corners) == 1
-    meta, corner = corners[0]
-    assert tuple(corner) == (3, 6)
-    assert np.array_equal(grid.rep_states[meta], (3, 6))
+    w = weights(grid, (3, 6))
+    assert len(w) == 1
+    (meta, wl), = w.items()
+    assert np.array_equal(grid.rep_states[meta], (3, 6)) and wl == 1.0
 
 
 def test_enclosing_box_interior_point():
     grid = _grid_0136_squared()
-    corners = {tuple(c) for _, c in enclosing_box(grid, (2, 4))}
-    assert corners == {(1, 3), (1, 6), (3, 3), (3, 6)}
+    assert _corners(grid, (2, 4)) == [(1, 3), (1, 6), (3, 3), (3, 6)]
 
 
 def test_enclosing_box_on_grid_plane_collapses():
     grid = _grid_0136_squared()
-    corners = [tuple(c) for _, c in enclosing_box(grid, (3, 4))]
-    assert corners == [(3, 3), (3, 6)]
+    assert _corners(grid, (3, 4)) == [(3, 3), (3, 6)]
 
 
 def test_enclosing_box_outside_lattice():
     grid = _grid_0136_squared()
     with pytest.raises(ValueError):
-        enclosing_box(grid, (7, 0))
+        weights(grid, (7, 0))
 
 
 def test_weights_midpoint_1d():
@@ -215,13 +213,6 @@ def test_example_pair_reduction():
     assert_allclose(sister.materialize().toarray(), two.P.toarray(), atol=1e-12)
 
 
-def test_lift_transition_budget_guard():
-    mrp = _random_mrp(64, (0, 0), (9, 9), max_jump=9)
-    scheme = build_scheme(build_grid(mrp.lattice, 0.45))
-    with pytest.raises(ResourceLimitError):
-        lift_transition(mrp.P, scheme, nnz_budget=10)
-
-
 # ---------------------------------------------------------------------------
 # first-moment gap
 # ---------------------------------------------------------------------------
@@ -300,26 +291,26 @@ def test_second_moment_profile_bounded_across_spans(dims):
 
 
 # ---------------------------------------------------------------------------
-# m-step weights and schemes
+# weights at m-step targets (fractional points) and m-step schemes
 # ---------------------------------------------------------------------------
 
 def test_mstep_weights_at_representative():
     grid = _grid_0136_squared()
-    w = mstep_weights(grid, (3.0, 6.0))
+    w = weights(grid, (3.0, 6.0))
     assert len(w) == 1 and next(iter(w.values())) == 1.0
 
 
 def test_mstep_weights_centroid():
     lat = StateLattice([0], [4])
     grid = grid_from_axes(lat, [np.array([0, 4])])
-    w = mstep_weights(grid, [2.0])
+    w = weights(grid, [2.0])
     assert_allclose(sorted(w.values()), [0.5, 0.5])
 
 
 def test_mstep_weights_fractional_target():
     grid = _grid_0136_squared()
     target = (2.25, 4.5)
-    w = mstep_weights(grid, target)
+    w = weights(grid, target)
     mean = sum(wl * grid.rep_states[l].astype(float) for l, wl in w.items())
     assert_allclose(mean, target, atol=1e-10)
 
@@ -328,8 +319,8 @@ def test_mstep_weights_hull_check_and_clamp():
     lat = StateLattice([0], [6])
     grid = grid_from_axes(lat, [np.array([0, 1, 3, 6])])
     with pytest.raises(ValueError):
-        mstep_weights(grid, [6.5])
-    w = mstep_weights(grid, [6.5], clamp=True)
+        weights(grid, [6.5])
+    w = weights(grid, [6.5], clamp=True)
     (l, wl), = w.items()
     assert grid.rep_states[l][0] == 6 and wl == 1.0
 

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 import _oracles as orc
 import _post_oracles as po
 from momentagg import (
-    ControlledMdp,
     ResourceLimitError,
     aggregated_policy_iteration,
     benchmarks,
@@ -63,7 +62,7 @@ def _jrp_tiny(widen=False):
 
 
 def _row_as_dict(mdp, i, a):
-    cols, probs = mdp.kernel_row(i, a)
+    cols, probs = po.one_row(mdp, i, a)
     out = {}
     for c, p in zip(cols, probs):
         key = tuple(mdp.lattice.to_coords(int(c)))
@@ -137,7 +136,7 @@ def test_jrp_costs_match_enumeration(widen):
                 p.holding, p.backorder, p.minor_cost, p.major_cost,
                 p.truck_capacity,
             )
-            assert mdp.action_cost(i, int(a)) == pytest.approx(expect, rel=1e-12)
+            assert po.one_cost(mdp, i, int(a)) == pytest.approx(expect, rel=1e-12)
 
 
 def test_jrp_action_space():
@@ -182,7 +181,7 @@ def test_jrp_zero_demand_no_order_is_absorbing():
             2.0 * max(I[0], 0) + 11.0 * max(-I[0], 0)
             + 3.0 * max(I[1], 0) + 13.0 * max(-I[1], 0)
         )
-        assert mdp.action_cost(i, 0) == pytest.approx(expect)
+        assert po.one_cost(mdp, i, 0) == pytest.approx(expect)
 
 
 def _converged_W(mdp):
@@ -219,7 +218,7 @@ def test_jrp_greedy_matches_generic_sweep(make, w_kind):
     assert np.array_equal(actions, ref_actions)
     assert np.all(np.abs(qvals - ref_qvals) <= 2 * np.spacing(np.abs(ref_qvals)))
     few = rng.choice(np.flatnonzero(mdp.action_counts() <= 200), 20, replace=False)
-    gen_actions, gen_qvals = ControlledMdp.greedy_at(mdp, few, W)
+    gen_actions, gen_qvals = po.greedy_at(mdp, few, W)
     assert np.array_equal(actions[few], gen_actions)
     assert_allclose(qvals[few], gen_qvals, rtol=1e-12, atol=1e-9)
 
@@ -238,7 +237,7 @@ def test_jrp_kernel_rows_at_matches_generic_rows(widen):
     assert np.array_equal(P.indptr, P_ref.indptr)
     assert np.array_equal(P.indices, P_ref.indices)
     assert_allclose(P.data, P_ref.data, rtol=1e-15, atol=0)
-    assert np.array_equal(mdp.action_counts(), ControlledMdp.action_counts(mdp))
+    assert np.array_equal(mdp.action_counts(), po.action_counts(mdp))
     actions[7] = mdp.n_actions(int(idx[7]))
     with pytest.raises(ValueError, match=f"infeasible in state {idx[7]}"):
         mdp.kernel_rows_at(idx, actions)
@@ -258,6 +257,12 @@ def test_jrp_induced_matches_generic():
     assert np.array_equal(P.csr.indices, P_ref.indices)
     assert_allclose(P.csr.data, P_ref.data, rtol=1e-15, atol=0)
     assert np.array_equal(c, po.jrp_costs(mdp, idx, policy))
+    P_gen, c_gen = po.induced(mdp, policy)
+    assert all(
+        np.array_equal(getattr(P.csr, k), getattr(P_gen.csr, k))
+        for k in ("indptr", "indices", "data")
+    )
+    assert np.array_equal(c, c_gen)
 
 
 def _random_policy(mdp, seed):
@@ -298,7 +303,7 @@ def test_jrp_induced_apply_rejects_infeasible_action():
 def test_jrp_exact_pi_same_with_materialized_chain(monkeypatch):
     mdp = build_jrp(jrp_small())
     got = exact_policy_iteration(mdp)
-    monkeypatch.setattr(JointReplenishmentMdp, "induced_apply", ControlledMdp.induced_apply)
+    monkeypatch.setattr(JointReplenishmentMdp, "induced_apply", po.induced_apply)
     expect = exact_policy_iteration(mdp)
     assert got.iterations == expect.iterations
     assert np.array_equal(got.policy, expect.policy)
@@ -354,7 +359,7 @@ def test_hospital_nothing_waiting_single_action():
     mdp = build_hospital(hospital_2ward())
     i = mdp.lattice.to_index((4, 11))  # under the bed counts everywhere
     assert mdp.n_actions(i) == 1
-    assert mdp.action_cost(i, 0) == 0.0
+    assert po.one_cost(mdp, i, 0) == 0.0
     assert np.all(mdp.routing_matrix(i, 0) == 0)
 
 
@@ -362,7 +367,7 @@ def test_hospital_boarding_cost():
     mdp = build_hospital(hospital_2ward())
     i = mdp.lattice.to_index((15, 12))  # 3 waiting at ward 0, no free beds
     assert mdp.n_actions(i) == 1
-    assert mdp.action_cost(i, 0) == pytest.approx(3 * mdp.params.holding[0])
+    assert po.one_cost(mdp, i, 0) == pytest.approx(3 * mdp.params.holding[0])
 
 
 def test_hospital_kernel_row_factorizes():
@@ -372,7 +377,7 @@ def test_hospital_kernel_row_factorizes():
     a = 2
     post = orc.hospital_post_action(x, mdp.routing_matrix(i, a))
     dense = np.zeros(mdp.lattice.size)
-    cols, probs = mdp.kernel_row(i, a)
+    cols, probs = po.one_row(mdp, i, a)
     dense[cols] = probs
     expect = np.outer(mdp.kernels[0][post[0]], mdp.kernels[1][post[1]]).ravel()
     assert_allclose(dense, expect, atol=1e-14)
@@ -384,7 +389,7 @@ def test_hospital_greedy_matches_generic_sweep():
     W = rng.random(mdp.lattice.size) * 100.0
     idx = rng.integers(0, mdp.lattice.size, 30)
     actions, qvals = mdp.greedy_at(idx, W)
-    ref_actions, ref_qvals = ControlledMdp.greedy_at(mdp, idx, W)
+    ref_actions, ref_qvals = po.greedy_at(mdp, idx, W)
     assert np.array_equal(actions, ref_actions)
     assert_allclose(qvals, ref_qvals, atol=1e-9)
 

@@ -27,7 +27,13 @@ from momentagg import (
     solve_discounted,
     verify_mstep_identity,
 )
-from momentagg.benchmarks import build_simple_rw, build_two_point_chain
+from momentagg import build_grid, build_scheme, chain, lifted_chain
+from momentagg.benchmarks import (
+    build_hospital,
+    build_simple_rw,
+    build_two_point_chain,
+    hospital_2ward,
+)
 from momentagg.chain import PROB_DROP, ROWSUM_TOL
 
 
@@ -245,10 +251,31 @@ def test_power_of_permutation_is_identity():
     assert_allclose(M.power(n).toarray(), np.eye(n), atol=1e-15)
 
 
-def test_power_budget_guard():
+def _budget_cases():
+    """Per materialization: a call that builds it, and its entry count."""
     P, _ = orc.random_dense_chain(2, 30, sparsity=0.9)
-    with pytest.raises(ResourceLimitError):
-        RowStochasticMatrix(P).power(3, nnz_budget=10)
+    M = RowStochasticMatrix(P)
+    _, Q, c, alpha = orc.random_lattice_chain(64, (0, 0), (9, 9), max_jump=9)
+    mrp = MarkovRewardProcess(StateLattice((0, 0), (9, 9)), RowStochasticMatrix(Q), c, alpha)
+    scheme = build_scheme(build_grid(mrp.lattice, 0.45))
+    mdp = build_hospital(hospital_2ward())
+    policy = np.zeros(mdp.lattice.size, dtype=np.int64)
+    return {
+        "power": lambda: M.power(3),
+        "lifted_chain": lambda: lifted_chain(mrp, scheme).materialize(),
+        "induced": lambda: mdp.induced(policy)[0],
+    }
+
+
+@pytest.mark.parametrize("kind", ["power", "lifted_chain", "induced"])
+def test_nnz_budget_guard(kind, monkeypatch):
+    # every materialization reads the one chain.NNZ_BUDGET when it is called
+    build = _budget_cases()[kind]
+    nnz = build().nnz
+    assert 10 < nnz <= chain.NNZ_BUDGET
+    monkeypatch.setattr(chain, "NNZ_BUDGET", 10)
+    with pytest.raises(ResourceLimitError, match="budget"):
+        build()
 
 
 # ---------------------------------------------------------------------------

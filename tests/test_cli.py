@@ -126,6 +126,29 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "word, value",
+    [("", True), ("true", True), ("Yes", True), ("1", True), ("on", True),
+     ("false", False), ("NO", False), ("0", False), ("off", False)],
+)
+@pytest.mark.parametrize("key", ["baseline", "exact"])
+def test_load_config_booleans(tmp_path, key, word, value):
+    # both keys share one parser; an empty value means the default (true)
+    cfg = load_config(
+        _write_ini(tmp_path / "b.ini", f"[problem]\nname = simple_rw\n{key} = {word}\n")
+    )
+    assert getattr(cfg, key) is value
+
+
+@pytest.mark.parametrize("key", ["baseline", "exact"])
+def test_load_config_rejects_unknown_boolean(tmp_path, key, capsys):
+    ini = _write_ini(tmp_path / "b.ini", f"[problem]\nname = simple_rw\n{key} = ture\n")
+    with pytest.raises(ConfigError, match=f"{key} must be one of .*'ture'"):
+        load_config(ini)
+    assert main(["--config", ini]) == 1
+    assert "ture" in capsys.readouterr().err
+
+
 def test_runconfig_validation():
     with pytest.raises(ConfigError, match="unknown problem"):
         RunConfig(problem="nope")
@@ -247,6 +270,45 @@ def test_diagnose_reflecting_rw(tmp_path):
     assert checks["mstep_identity_m2"]["pass"] is True
     assert checks["second_moment"]["sup_normalized"] > 0.0
     assert checks["scaled_value"]["epsilon"] == 0.1
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [(7.9, "action 7.9 in state 5 is not an integer"),
+     (np.nan, "action nan in state 5 is not an integer"),
+     (7, "action 7 infeasible in state 5")],
+    ids=["fraction", "nan", "infeasible"],
+)
+def test_evaluate_rejects_bad_policy_file(tmp_path, capsys, entry, message):
+    # hospital2 state 5 has one action; a bad entry there is a config error
+    # naming the state, not a truncated action or a traceback
+    policy = np.zeros(43 * 43)
+    policy[5] = entry
+    np.save(tmp_path / "policy.npy", policy)
+    ini = _write_ini(
+        tmp_path / "e.ini",
+        f"[problem]\nname = hospital2\nmode = evaluate\npolicy = {tmp_path / 'policy.npy'}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", ini]) == 1
+    assert message in capsys.readouterr().err
+    np.save(tmp_path / "policy.npy", np.zeros(43 * 43))  # whole floats are ids
+    assert main(["--config", ini]) == 0
+
+
+def test_evaluate_rejects_unreadable_policy_file(tmp_path, capsys):
+    path = tmp_path / "policy.npy"
+    ini = _write_ini(
+        tmp_path / "e.ini",
+        f"[problem]\nname = hospital2\nmode = evaluate\npolicy = {path}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    path.write_bytes(b"not an array")
+    assert main(["--config", ini]) == 1
+    assert "cannot read policy file" in capsys.readouterr().err
+    np.save(path, np.full(43 * 43, "0"))
+    assert main(["--config", ini]) == 1
+    assert "must hold integer action ids" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

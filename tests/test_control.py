@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import _oracles as orc
 import _post_oracles as po
+from _tabular import TabularMdp
 from momentagg import control
 from momentagg.benchmarks import (
     JointReplenishmentMdp,
@@ -25,7 +26,6 @@ from momentagg import (
     NumericalError,
     RowStochasticMatrix,
     StateLattice,
-    TabularMdp,
     aggregated_policy_iteration,
     bellman_residual,
     build_grid,
@@ -33,7 +33,6 @@ from momentagg import (
     exact_policy_iteration,
     exact_value,
     induced_mrp,
-    lifted_mdp,
     optimality_gap_report,
 )
 
@@ -100,9 +99,10 @@ def test_greedy_breaks_ties_toward_lowest_action():
     K = RowStochasticMatrix.identity(5)
     costs = np.ones((2, 5))
     mdp = TabularMdp(lat, [K, K], costs, 0.9)
-    actions, qvals = mdp.greedy_at(np.arange(5), np.zeros(5))
-    assert np.all(actions == 0)
-    assert_allclose(qvals, 1.0)
+    for greedy in (mdp.greedy_at, lambda idx, W: po.greedy_at(mdp, idx, W)):
+        actions, qvals = greedy(np.arange(5), np.zeros(5))
+        assert np.all(actions == 0)
+        assert_allclose(qvals, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +424,6 @@ def test_aggregated_pi_cycle_reports_last_iterate(monkeypatch):
     # the last R evaluates B, whose system was spliced from A's
     assert _same_bytes(report.R, oracle.R)
     assert report.reps_changed == [(L + 1) // 2, L, L]
-
-
-def test_lifted_mdp_materializes_sister_kernels():
-    mdp, P_list, C, alpha = _tabular(13, (0,), (20,), n_actions=2)
-    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
-    lifted = lifted_mdp(mdp, scheme)
-    G, U = scheme.G.toarray(), scheme.U.toarray()
-    for K, P in zip(lifted.kernels, P_list):
-        assert_allclose(K.toarray(), orc.dense_sister(P, G, U), atol=1e-12)
-
-
-def test_lifted_mdp_requires_tabular():
-    class Opaque:
-        pass
-
-    mdp, *_ = _tabular(14, (0,), (5,), n_actions=1)
-    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
-    with pytest.raises(TypeError):
-        lifted_mdp(Opaque(), scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -188,13 +188,6 @@ def test_U_identity_when_all_representative():
     assert np.array_equal(build_U(grid).toarray(), np.eye(4))
 
 
-def test_U_lattice_mismatch_rejected():
-    lat = StateLattice([0], [3])
-    grid = grid_from_axes(lat, [np.array([0, 1, 3])])
-    with pytest.raises(ValueError):
-        build_U(grid, StateLattice([0], [4]))
-
-
 # ---------------------------------------------------------------------------
 # meta_count_bound
 # ---------------------------------------------------------------------------

@@ -243,10 +243,9 @@ def test_infeasible_action_raises(bad):
             call(idx, actions)
     policy = np.zeros(mdp.lattice.size, dtype=np.int64)
     policy[i] = a
-    with pytest.raises(ValueError, match=f"infeasible in state {i}"):
-        mdp.induced_apply(policy)
-    with pytest.raises(ValueError, match=f"infeasible in state {i}"):
-        mdp.action_cost(i, a)
+    for call in (mdp.induced_apply, mdp.induced):
+        with pytest.raises(ValueError, match=f"infeasible in state {i}"):
+            call(policy)
 
 
 # ---------------------------------------------------------------------------

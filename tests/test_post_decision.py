@@ -1,7 +1,7 @@
 """The shared post-decision layer against the per-family code it replaced.
 
-``PostDecisionMdp`` defines ``expect``, kernel rows, one-row views and the
-induced chain once for joint replenishment and hospital overflow.  The
+``PostDecisionMdp`` defines ``expect``, kernel rows and the induced chain
+once for joint replenishment and hospital overflow.  The
 oracles in ``_post_oracles`` are the parent per-class implementations.
 The hospital keeps its contraction order (axis 0 first), so everything
 there is bit-equal; its random small instances are checked in
@@ -19,15 +19,7 @@ from numpy.testing import assert_allclose
 
 import _post_oracles as po
 from test_hospital_table import random_actions
-from momentagg import (
-    ControlledMdp,
-    ResourceLimitError,
-    aggregated_policy_iteration,
-    build_grid,
-    build_scheme,
-    exact_policy_iteration,
-)
-from momentagg import benchmarks
+from momentagg import ControlledMdp, ResourceLimitError, chain
 from momentagg.benchmarks import (
     JrpParams,
     PostDecisionMdp,
@@ -105,12 +97,12 @@ def test_jrp_matches_parent_code(params, seed):
     )
     costs = po.jrp_costs(mdp, idx, policy)
     assert np.array_equal(mdp.costs_at(idx, policy), costs)
-    for i in rng.integers(0, n, 5):
-        a = int(policy[i])
-        assert mdp.action_cost(int(i), a) == po.jrp_action_cost(mdp, int(i), a)
-        cols, probs = mdp.kernel_row(int(i), a)
-        row = mdp.kernel_rows_at([i], [a]).csr
-        assert np.array_equal(cols, row.indices) and np.array_equal(probs, row.data)
+    few = rng.integers(0, n, 5)
+    assert np.array_equal(mdp.costs_at(few, policy[few]), po.costs_at(mdp, few, policy[few]))
+    # stacking the one-pair rows renormalizes them once more
+    _assert_same_structure(
+        mdp.kernel_rows_at(few, policy[few]), po.kernel_rows_at(mdp, few, policy[few]), ROW_RTOL
+    )
     apply_P, c = mdp.induced_apply(policy)
     ref_apply, c_ref = po.jrp_induced_apply(mdp, policy)
     assert np.array_equal(c, c_ref)
@@ -174,15 +166,15 @@ def test_induced_nnz_budget(build, fits, monkeypatch):
     n = mdp.lattice.size
     policy = np.zeros(n, dtype=np.int64)
     entries = _span_entries(mdp, policy)
-    assert (entries <= benchmarks.INDUCED_NNZ_BUDGET) == fits
+    assert (entries <= chain.NNZ_BUDGET) == fits
     if fits:
         P, c = mdp.induced(policy)
         assert P.shape == (n, n) and 0 < P.nnz <= entries
         assert np.array_equal(c, mdp.costs_at(np.arange(n), policy))
-        monkeypatch.setattr(benchmarks, "INDUCED_NNZ_BUDGET", entries - 1)
+        monkeypatch.setattr(chain, "NNZ_BUDGET", entries - 1)
         with pytest.raises(ResourceLimitError, match="induced_apply"):
             mdp.induced(policy)
-        monkeypatch.setattr(benchmarks, "INDUCED_NNZ_BUDGET", entries)
+        monkeypatch.setattr(chain, "NNZ_BUDGET", entries)
         assert mdp.induced(policy)[0].nnz == P.nnz
     else:
         # refused from the widths alone, before any kernel row is built
@@ -199,24 +191,16 @@ def test_induced_nnz_budget(build, fits, monkeypatch):
     [lambda: build_jrp(jrp_small()), lambda: build_hospital(hospital_2ward())],
     ids=["jrp_small", "hospital2"],
 )
-def test_solvers_reach_no_loop_fallback(build, monkeypatch):
+def test_solvers_reach_no_loop_fallback(build):
+    # ControlledMdp holds no per-(state, action) loop to fall back on, so
+    # every bulk operation the solvers call is the model's own, and the
+    # model keeps no one-pair view for such a loop to use
     mdp = build()
     assert isinstance(mdp, PostDecisionMdp)
-    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
-    expect = aggregated_policy_iteration(mdp, scheme)
-    expect_exact = exact_policy_iteration(mdp)
-
-    def loop_fallback(*args, **kwargs):
-        raise AssertionError("a ControlledMdp loop fallback was reached")
-
     for name in (
-        "kernel_row", "action_cost", "costs_at", "kernel_rows_at",
-        "greedy_at", "action_counts", "induced", "induced_apply",
+        "action_counts", "greedy_at", "kernel_rows_at", "costs_at", "induced", "induced_apply",
     ):
-        monkeypatch.setattr(ControlledMdp, name, loop_fallback)
-    got = aggregated_policy_iteration(mdp, scheme)
-    got_exact = exact_policy_iteration(mdp)
-    assert np.array_equal(got.policy, expect.policy)
-    assert np.array_equal(got.value, expect.value)
-    assert np.array_equal(got_exact.policy, expect_exact.policy)
-    assert np.array_equal(got_exact.value, expect_exact.value)
+        assert not hasattr(ControlledMdp, name)
+        assert callable(getattr(mdp, name))
+    for name in ("kernel_row", "action_cost"):
+        assert not hasattr(mdp, name)
