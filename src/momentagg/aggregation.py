@@ -18,12 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from . import chain
-from .chain import (
-    MarkovRewardProcess,
-    ResourceLimitError,
-    RowStochasticMatrix,
-    max_jump,
-)
+from .chain import MarkovRewardProcess, RowStochasticMatrix, max_jump
 from .grid import CoarseGrid, build_U
 
 __all__ = [
@@ -49,37 +44,36 @@ def _bracket(axis_values, y, *, clamp):
     elif np.any(y < v[0]) or np.any(y > v[-1]):
         raise ValueError("target lies outside the grid hull")
     hi = np.searchsorted(v, y, side="left")
-    exact = v[hi] == y
+    v_hi = v[hi]
+    exact = v_hi == y
     lo = np.where(exact, hi, hi - 1)
-    denom = np.where(exact, 1.0, v[hi] - v[lo])
-    t = (y - v[lo]) / denom
+    v_lo = v[lo]
+    t = (y - v_lo) / np.where(exact, 1.0, v_hi - v_lo)
     return lo, hi, t
 
 
-def _interp_csr(grid, points, *, clamp=False):
-    """(n, L) interpolation-weight matrix for real-valued points."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n, d = points.shape
-    if d != grid.lattice.dims:
+def _interp_factor(axis, y, clamp):
+    """CSR of the 1-D interpolation weights of the reals y on one grid axis:
+    1.0 at an exact grid hit, else (1 - t, t) at (lo, lo + 1)."""
+    lo, hi, t = _bracket(axis, y, clamp=clamp)
+    two = lo != hi  # rows with a second entry, (hi, t)
+    indptr = np.arange(len(y) + 1)
+    indptr[1:] += np.cumsum(two)
+    first, second = indptr[:-1], indptr[:-1][two] + 1
+    cols, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+    cols[first], data[first] = lo, 1.0 - t
+    cols[second], data[second] = hi[two], t[two]
+    return sparse.csr_matrix((data, cols, indptr), shape=(len(y), len(axis)))
+
+
+def _interp_rows(grid, values, rows, *, clamp=False):
+    """CSR of the multilinear weights of the points (values[j][rows[j][i]])_j:
+    ``chain.row_kron`` of the ``_interp_factor`` of each axis, whose
+    temporaries are freed, with its frame, before the product is built."""
+    if len(values) != grid.lattice.dims:
         raise ValueError("point dimension does not match the grid")
-    lo, hi, t = zip(
-        *(_bracket(grid.axes[i], points[:, i], clamp=clamp) for i in range(d))
-    )
-    rows = np.empty((2**d, n), dtype=np.int64)
-    cols = np.empty_like(rows)
-    data = np.empty((2**d, n), dtype=np.float64)
-    for b in range(2**d):
-        idx = tuple(hi[i] if (b >> i) & 1 else lo[i] for i in range(d))
-        w = np.ones(n)
-        for i in range(d):
-            w *= t[i] if (b >> i) & 1 else 1.0 - t[i]
-        rows[b] = np.arange(n)
-        cols[b] = np.ravel_multi_index(idx, grid.shape)
-        data[b] = w
-    M = sparse.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, grid.size)
-    )
-    return M.tocsr()
+    factors = [_interp_factor(axis, y, clamp) for axis, y in zip(grid.axes, values)]
+    return chain.row_kron(factors, rows)
 
 
 def weights(grid, point, *, clamp=False):
@@ -90,15 +84,16 @@ def weights(grid, point, *, clamp=False):
     may be fractional (an m-step target E_y[X_{m-1}]); with ``clamp`` it is
     clipped into the grid hull instead of raising.
     """
-    row = _interp_csr(grid, [point], clamp=clamp)
-    return {
-        int(c): float(w) for c, w in zip(row.indices, row.data) if w > 0.0
-    }
+    row = _interp_rows(grid, np.reshape(point, (-1, 1)), [[0]] * grid.lattice.dims, clamp=clamp)
+    return {int(c): float(w) for c, w in zip(row.indices, row.data)}
 
 
 def build_G(grid):
-    """N x L aggregation matrix: row y holds the corner weights of y."""
-    return RowStochasticMatrix(_interp_csr(grid, grid.lattice.all_states()))
+    """N x L aggregation matrix: row y holds the corner weights of y, from
+    per-axis factors over the lattice values, picked by y's coordinates."""
+    values = [np.arange(lo, up + 1) for lo, up in zip(grid.lattice.lower, grid.lattice.upper)]
+    offsets = np.unravel_index(np.arange(grid.lattice.size), grid.lattice.shape)
+    return RowStochasticMatrix(_interp_rows(grid, values, offsets))
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,8 @@ def mstep_scheme(mrp, grid, m, *, clamp=False):
     targets = mrp.lattice.all_states().astype(np.float64)
     for _ in range(int(m) - 1):
         targets = mrp.P.apply(targets)
-    G = RowStochasticMatrix(_interp_csr(grid, targets, clamp=clamp))
+    rows = [np.arange(len(targets))] * grid.lattice.dims
+    G = RowStochasticMatrix(_interp_rows(grid, targets.T, rows, clamp=clamp))
     return AggregationScheme(grid=grid, U=build_U(grid), G=G)
 
 
@@ -141,7 +137,8 @@ class SisterChain:
     """The lifted chain P~ = P G U, kept in operator form.
 
     ``apply`` chains the three sparse products; ``materialize`` builds the
-    explicit matrix, refused past ``chain.NNZ_BUDGET`` entries.
+    explicit matrix, refused before it is formed when it may hold more than
+    ``chain.NNZ_BUDGET`` entries.
     """
 
     def __init__(self, base, scheme):
@@ -162,11 +159,9 @@ class SisterChain:
     def materialize(self):
         """P G U as a sparse N x N row-stochastic matrix (built once)."""
         if self._matrix is None:
-            M = self.base.P.csr @ self.scheme.G.csr
-            if M.nnz > chain.NNZ_BUDGET:
-                raise ResourceLimitError(
-                    f"lifted chain exceeded nnz budget ({M.nnz} > {chain.NNZ_BUDGET})"
-                )
+            P, G = self.base.P.csr, self.scheme.G.csr
+            chain.check_product_budget(P, G, "the lifted chain")
+            M = P @ G
             # right-multiplying by the binary U just routes meta column l to
             # the lattice column of representative l (rep indices increase
             # with l, so the CSR stays sorted)

@@ -71,9 +71,9 @@ class PostDecisionMdp(ControlledMdp):
     axis-j offset), so the transition row is ⊗_j K_j[w_j].
 
     Subclasses set ``kernels`` (dense arrays or scipy CSR matrices) and
-    supply ``posts_at``, ``costs_at``, ``action_counts``/``n_actions`` and
-    ``greedy_at``.  Expectations, kernel rows and the induced chain are
-    defined here, once, from the kernels and the post points.
+    supply ``posts_at``, ``costs_at``, ``action_counts`` and ``greedy_at``.
+    Expectations, kernel rows and the induced chain are defined here, once,
+    from the kernels and the post points.
     """
 
     kernels: list
@@ -101,61 +101,22 @@ class PostDecisionMdp(ControlledMdp):
         return np.ascontiguousarray(E)
 
     @cached_property
-    def _spans(self):
-        """Per axis: the raveled dense kernel, its row length, and per row
-        the first nonzero column and the width of the span to the last."""
-        spans = []
+    def _factors(self):
+        """The kernels as ``chain.row_kron`` factors: row w of factor j runs
+        over K_j[w] from its first to its last nonzero column."""
+        factors = []
         for K in self.kernels:
-            K = np.ascontiguousarray(K.toarray() if sparse.issparse(K) else K)
-            nz = K != 0
-            lo = np.argmax(nz, axis=1)
-            width = K.shape[1] - np.argmax(nz[:, ::-1], axis=1) - lo
-            spans.append((K.ravel(), K.shape[1], lo, width))
-        return spans
-
-    def _kernel_csr(self, posts):
-        """CSR of the rows ⊗_j K_j[w_j] at the flat post points ``posts``.
-
-        Each row keeps exactly the nonzero entries of the outer product,
-        in its row-major order, so columns ascend without duplicates and
-        the CSR is canonical as built.  It is wrapped into a
-        RowStochasticMatrix by the caller, once this frame's temporaries
-        are freed.
-        """
-        w = np.unravel_index(np.asarray(posts, dtype=np.int64), self.post_shape)
-        n = self.lattice.size
-        # 32-bit columns when they fit (scipy would downcast them anyway)
-        itype = np.int32 if n < 2**31 else np.int64
-        cols = np.zeros(len(posts), dtype=itype)  # partial column per entry
-        vals = np.ones(len(posts))
-        sizes = np.ones(len(posts), dtype=np.int64)  # entries per row so far
-        for w_j, (flat, n_j, lo, width) in zip(w, self._spans):
-            # each entry expands over the span of K_j[w_j] from its first to
-            # its last nonzero column; zeros inside the span go at the end
-            wj = np.repeat(w_j, sizes)
-            k = width[wj]
-            shift = lo[wj] - (np.cumsum(k) - k)
-            ar = np.arange(int(k.sum()), dtype=itype)
-            cols = np.repeat((cols * n_j + shift).astype(itype), k)
-            cols += ar
-            t_idx = np.repeat((wj * n_j + shift).astype(itype), k)
-            t_idx += ar
-            del ar
-            t_val = flat[t_idx]
-            del t_idx
-            t_val *= np.repeat(vals, k)
-            vals = t_val
-            sizes *= width[w_j]
-        indptr = np.zeros(len(posts) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        keep = vals != 0.0
-        if not keep.all():
-            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            cols, vals = cols[keep], vals[keep]
-        return sparse.csr_matrix((vals, cols, indptr), shape=(len(posts), n))
+            K = K.toarray() if sparse.issparse(K) else np.asarray(K)
+            run = np.logical_or.accumulate(K != 0, axis=1)
+            run &= np.logical_or.accumulate(K[:, ::-1] != 0, axis=1)[:, ::-1]
+            F = sparse.csr_matrix(run, dtype=np.float64)
+            F.data = K[run]  # both in row-major order
+            factors.append(F)
+        return factors
 
     def kernel_rows_at(self, indices, actions):
-        return RowStochasticMatrix(self._kernel_csr(self.posts_at(indices, actions)))
+        w = np.unravel_index(self.posts_at(indices, actions), self.post_shape)
+        return RowStochasticMatrix(chain.row_kron(self._factors, w))
 
     def induced_apply(self, policy):
         policy = _full_policy(self, policy)
@@ -169,20 +130,19 @@ class PostDecisionMdp(ControlledMdp):
 
     def induced(self, policy):
         """(P, c) of the induced chain, refused before any kernel row is
-        built when its rows' spans hold more than ``chain.NNZ_BUDGET``
+        built when its rows' runs hold more than ``chain.NNZ_BUDGET``
         entries."""
         policy = _full_policy(self, policy)
         idx = np.arange(self.lattice.size)
-        posts = self.posts_at(idx, policy)
-        w = np.unravel_index(posts, self.post_shape)
-        widths = [width[w_j] for w_j, (_, _, _, width) in zip(w, self._spans)]
-        nnz = int(np.sum(np.prod(widths, axis=0)))
+        w = np.unravel_index(self.posts_at(idx, policy), self.post_shape)
+        runs = [np.diff(F.indptr)[w_j] for F, w_j in zip(self._factors, w)]
+        nnz = int(np.prod(runs, axis=0).sum())
         if nnz > chain.NNZ_BUDGET:
             raise ResourceLimitError(
                 f"materializing the induced kernel of {len(idx)} states needs up "
                 f"to {nnz} entries (budget {chain.NNZ_BUDGET}); use induced_apply instead"
             )
-        return RowStochasticMatrix(self._kernel_csr(posts)), self.costs_at(idx, policy)
+        return RowStochasticMatrix(chain.row_kron(self._factors, w)), self.costs_at(idx, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +270,9 @@ class JointReplenishmentMdp(PostDecisionMdp):
         self._order_costs = self._trucks.copy()
         self._order_costs[1:, :] += params.minor_cost[0]
         self._order_costs[:, 1:] += params.minor_cost[1]
+        i1, i2 = np.divmod(np.arange(self.lattice.size), self._n2)
+        self._counts = (nz1 - i1) * (nz2 - i2)  # every (q1, q2) within the post box
+        self._counts.setflags(write=False)
 
     # -- action bookkeeping ----------------------------------------------------
 
@@ -317,13 +280,8 @@ class JointReplenishmentMdp(PostDecisionMdp):
         """Coordinate offsets (i1, i2) of flat state i from the lower corner."""
         return int(i) // self._n2, int(i) % self._n2
 
-    def n_actions(self, i):
-        i1, i2 = self._offsets(i)
-        return (self.post_shape[0] - i1) * (self.post_shape[1] - i2)
-
     def action_counts(self):
-        i1, i2 = np.divmod(np.arange(self.lattice.size), self._n2)
-        return (self.post_shape[0] - i1) * (self.post_shape[1] - i2)
+        return self._counts
 
     def action_quantities(self, i, a):
         """Decode action id to the order pair (q1, q2)."""
@@ -619,9 +577,6 @@ class HospitalOverflowMdp(PostDecisionMdp):
 
     def action_counts(self):
         return self.table.counts
-
-    def n_actions(self, i):
-        return int(self.table.counts[i])
 
     def _actions(self, i):
         """(routing matrices, post-action flat indices, costs) of state i."""

@@ -39,8 +39,8 @@ PROB_DROP = 1e-15
 #: absolute tolerance on row sums at validation time
 ROWSUM_TOL = 1e-12
 #: most entries any materialization may hold (about 1 GB of CSR); matrix
-#: powers, the lifted chain and induced kernels past it raise
-#: ResourceLimitError
+#: powers, the lifted chain and induced kernels that may pass it raise
+#: ResourceLimitError before they are built
 NNZ_BUDGET = 80_000_000
 
 
@@ -121,16 +121,6 @@ class RowStochasticMatrix:
         return cls(M)
 
     @classmethod
-    def from_rows(cls, row_entries, n_cols):
-        """Build from a list of (column_indices, probabilities) pairs."""
-        rows = np.concatenate(
-            [np.full(len(c), i, dtype=np.int64) for i, (c, _) in enumerate(row_entries)]
-        )
-        cols = np.concatenate([np.asarray(c, dtype=np.int64) for c, _ in row_entries])
-        data = np.concatenate([np.asarray(p, dtype=np.float64) for _, p in row_entries])
-        return cls.from_coo(rows, cols, data, (len(row_entries), n_cols))
-
-    @classmethod
     def identity(cls, n):
         return cls(sparse.identity(n, format="csr"))
 
@@ -176,22 +166,68 @@ class RowStochasticMatrix:
         return self.csr @ f
 
     def power(self, m):
-        """Exact sparse m-step matrix, guarded by ``NNZ_BUDGET``."""
+        """Exact sparse m-step matrix; each product is refused before it is
+        formed when it may exceed ``NNZ_BUDGET`` entries."""
         if m < 1 or m != int(m):
             raise ValueError("power requires integer m >= 1")
         if self.n_rows != self.n_cols:
             raise ValueError("power of a non-square matrix")
         out = self.csr.copy()
         for _ in range(int(m) - 1):
+            check_product_budget(out, self.csr, "the matrix power")
             out = out @ self.csr
-            if out.nnz > NNZ_BUDGET:
-                raise ResourceLimitError(
-                    f"matrix power exceeded nnz budget ({out.nnz} > {NNZ_BUDGET})"
-                )
         return RowStochasticMatrix(out)
 
     def __repr__(self):
         return f"RowStochasticMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def check_product_budget(A, B, what):
+    """Refuse the sparse product A @ B before it is formed when its rows,
+    each at most min(sum over y in supp A_x of nnz(B_y), n_cols(B)) long,
+    may hold more than ``NNZ_BUDGET`` entries."""
+    reach = np.concatenate(([0], np.cumsum(np.diff(B.indptr)[A.indices])))[A.indptr]
+    nnz = int(np.minimum(np.diff(reach), B.shape[1]).sum())
+    if nnz > NNZ_BUDGET:
+        raise ResourceLimitError(f"{what} needs up to {nnz} entries (budget {NNZ_BUDGET})")
+
+
+def row_kron(factors, rows):
+    """Row-wise Kronecker product: the CSR whose row i is ⊗_j F_j[rows[j][i]],
+    axis 0 most significant in the columns.  Every row of a CSR factor F_j
+    is one nonempty contiguous run of columns; zeros inside a run are
+    dropped.  Values multiply axis 0 first and each row's columns ascend,
+    so the CSR is canonical as built."""
+    n_cols = int(np.prod([F.shape[1] for F in factors]))
+    # 32-bit columns when they fit (scipy would downcast them anyway)
+    itype = np.int32 if n_cols < 2**31 else np.int64
+    head = factors[0][np.asarray(rows[0])]  # axis 0 alone is a row gather
+    cols, vals = head.indices.astype(itype, copy=False), head.data
+    sizes = np.diff(head.indptr).astype(np.int64)  # entries per row so far
+    for F, r in zip(factors[1:], rows[1:]):
+        # each entry expands over the run of its factor row; the large
+        # temporaries stay 32-bit and are freed as soon as they are used
+        width = np.diff(F.indptr)
+        rj = np.repeat(r, sizes)
+        k = width[rj]
+        start = np.cumsum(k) - k
+        ar = np.arange(int(k.sum()), dtype=itype)
+        cols = np.repeat((cols * F.shape[1] + F.indices[F.indptr[rj]] - start).astype(itype), k)
+        cols += ar
+        t_idx = np.repeat((F.indptr[rj] - start).astype(itype), k)
+        t_idx += ar
+        del ar
+        t_val = F.data[t_idx]
+        del t_idx
+        t_val *= np.repeat(vals, k)
+        vals = t_val
+        sizes *= width[r]
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    keep = vals != 0.0
+    if not keep.all():
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        cols, vals = cols[keep], vals[keep]
+    return sparse.csr_matrix((vals, cols, indptr), shape=(len(sizes), n_cols))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ class ControlledMdp:
     A model sets ``lattice`` and ``discount`` and supplies the bulk
     operations the solvers call, each over many states at once:
 
-    * ``action_counts()`` — the number of actions of every state;
+    * ``action_counts()`` — the number of actions of every state, computed once;
     * ``greedy_at(indices, W)`` — argmin_a c(x,a) + alpha sum_y p^a(x,y) W(y)
       at the given states, as (actions, q_values), ties to the lowest id;
     * ``kernel_rows_at(indices, actions)`` / ``costs_at(indices, actions)``
@@ -69,6 +69,10 @@ class ControlledMdp:
     #: worker threads for greedy sweeps.  Results are identical at any
     #: count; no benchmark instance sweeps faster with more than one
     threads: int = 1
+
+    def n_actions(self, i):
+        """Number of actions of state i."""
+        return int(self.action_counts()[i])
 
     def check_actions(self, indices, actions):
         """Raise ValueError naming the first state whose action is not one

@@ -1,5 +1,6 @@
-"""The model code that ``PostDecisionMdp``, the JRP post-order greedy table
-and the per-model bulk operations replaced, kept as test oracles.
+"""The model code that ``PostDecisionMdp``, the JRP post-order greedy table,
+the per-model bulk operations and the row-wise Kronecker builder replaced,
+kept as test oracles.
 
 The generic functions are the per-(state, action) loops ``ControlledMdp``
 once ran for models that gave only one row and one cost at a time; here
@@ -16,12 +17,31 @@ tensor contraction (axis 0 first) and induced chain.  The hospital's
 kernel rows are checked against dense outer products in
 ``test_hospital_table``.  Only the greedy loop calls the shared base
 class, for ``expect``, so that it checks the q-block arithmetic alone.
+
+The two builders that ``chain.row_kron`` replaced close the module: the
+corner loop that summed 2^d multilinear corners in a COO matrix
+(``interp_csr``, once ``aggregation._interp_csr``) and the dense-span
+expansion of the post-decision kernel rows (``kernel_csr``, once
+``PostDecisionMdp._spans``/``_kernel_csr``).
 """
 
 import numpy as np
+from scipy import sparse
 
+from momentagg.aggregation import _bracket
 from momentagg.chain import RowStochasticMatrix
 from momentagg.control import _full_policy
+
+
+def from_rows(row_entries, n_cols):
+    """RowStochasticMatrix from a list of (column_indices, probabilities)
+    pairs, duplicates summed."""
+    rows = np.concatenate(
+        [np.full(len(c), i, dtype=np.int64) for i, (c, _) in enumerate(row_entries)]
+    )
+    cols = np.concatenate([np.asarray(c, dtype=np.int64) for c, _ in row_entries])
+    data = np.concatenate([np.asarray(p, dtype=np.float64) for _, p in row_entries])
+    return RowStochasticMatrix.from_coo(rows, cols, data, (len(row_entries), n_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +85,7 @@ def greedy_at(mdp, indices, W):
 def kernel_rows_at(mdp, indices, actions):
     """Stacked kernel rows (len(indices) x N), one pair at a time."""
     entries = [one_row(mdp, int(i), int(a)) for i, a in zip(indices, actions)]
-    return RowStochasticMatrix.from_rows(entries, mdp.lattice.size)
+    return from_rows(entries, mdp.lattice.size)
 
 
 def costs_at(mdp, indices, actions):
@@ -122,7 +142,7 @@ def jrp_kernel_rows(mdp, indices, actions):
     """The rows of ``jrp_kernel_row`` stacked through COO, so clamped
     duplicates are summed in demand order."""
     entries = [jrp_kernel_row(mdp, int(i), int(a)) for i, a in zip(indices, actions)]
-    return RowStochasticMatrix.from_rows(entries, mdp.lattice.size)
+    return from_rows(entries, mdp.lattice.size)
 
 
 def jrp_action_cost(mdp, i, a):
@@ -208,3 +228,78 @@ def hospital_induced_apply(mdp, policy):
     pairs = mdp.table.indptr[:-1] + np.asarray(policy, dtype=np.int64)
     posts = mdp.table.posts[pairs]
     return (lambda v: hospital_contract(mdp, v).ravel()[posts]), mdp.table.costs[pairs]
+
+
+# ---------------------------------------------------------------------------
+# the builders chain.row_kron replaced
+# ---------------------------------------------------------------------------
+
+def interp_csr(grid, points, *, clamp=False):
+    """(n, L) interpolation-weight matrix for real-valued points: one COO
+    entry per corner of the enclosing box, duplicates summed."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n, d = points.shape
+    if d != grid.lattice.dims:
+        raise ValueError("point dimension does not match the grid")
+    lo, hi, t = zip(
+        *(_bracket(grid.axes[i], points[:, i], clamp=clamp) for i in range(d))
+    )
+    rows = np.empty((2**d, n), dtype=np.int64)
+    cols = np.empty_like(rows)
+    data = np.empty((2**d, n), dtype=np.float64)
+    for b in range(2**d):
+        idx = tuple(hi[i] if (b >> i) & 1 else lo[i] for i in range(d))
+        w = np.ones(n)
+        for i in range(d):
+            w *= t[i] if (b >> i) & 1 else 1.0 - t[i]
+        rows[b] = np.arange(n)
+        cols[b] = np.ravel_multi_index(idx, grid.shape)
+        data[b] = w
+    M = sparse.coo_matrix(
+        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, grid.size)
+    )
+    return M.tocsr()
+
+
+def kernel_spans(mdp):
+    """Per axis: the raveled dense kernel, its row length, and per row the
+    first nonzero column and the width of the span to the last."""
+    spans = []
+    for K in mdp.kernels:
+        K = np.ascontiguousarray(K.toarray() if sparse.issparse(K) else K)
+        nz = K != 0
+        lo = np.argmax(nz, axis=1)
+        width = K.shape[1] - np.argmax(nz[:, ::-1], axis=1) - lo
+        spans.append((K.ravel(), K.shape[1], lo, width))
+    return spans
+
+
+def kernel_csr(mdp, posts):
+    """CSR of the rows ⊗_j K_j[w_j] at the flat post points ``posts``,
+    expanded axis by axis over each kernel row's dense span."""
+    w = np.unravel_index(np.asarray(posts, dtype=np.int64), mdp.post_shape)
+    n = mdp.lattice.size
+    itype = np.int32 if n < 2**31 else np.int64
+    cols = np.zeros(len(posts), dtype=itype)  # partial column per entry
+    vals = np.ones(len(posts))
+    sizes = np.ones(len(posts), dtype=np.int64)  # entries per row so far
+    for w_j, (flat, n_j, lo, width) in zip(w, kernel_spans(mdp)):
+        wj = np.repeat(w_j, sizes)
+        k = width[wj]
+        shift = lo[wj] - (np.cumsum(k) - k)
+        ar = np.arange(int(k.sum()), dtype=itype)
+        cols = np.repeat((cols * n_j + shift).astype(itype), k)
+        cols += ar
+        t_idx = np.repeat((wj * n_j + shift).astype(itype), k)
+        t_idx += ar
+        t_val = flat[t_idx]
+        t_val *= np.repeat(vals, k)
+        vals = t_val
+        sizes *= width[w_j]
+    indptr = np.zeros(len(posts) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    keep = vals != 0.0
+    if not keep.all():
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        cols, vals = cols[keep], vals[keep]
+    return sparse.csr_matrix((vals, cols, indptr), shape=(len(posts), n))

@@ -7,7 +7,8 @@ solvers call directly from those arrays.
 
 import numpy as np
 
-from momentagg import ControlledMdp, RowStochasticMatrix
+from _post_oracles import from_rows
+from momentagg import ControlledMdp
 from momentagg.control import _full_policy
 
 
@@ -39,15 +40,12 @@ class TabularMdp(ControlledMdp):
         self.costs = costs
         self.discount = float(discount)
 
-    def n_actions(self, i):
-        return len(self.kernels)
-
     def action_counts(self):
         return np.full(self.lattice.size, len(self.kernels), dtype=np.int64)
 
     def kernel_rows_at(self, indices, actions):
         rows = [self.kernels[a].row(i) for i, a in zip(indices, actions)]
-        return RowStochasticMatrix.from_rows(rows, self.lattice.size)
+        return from_rows(rows, self.lattice.size)
 
     def costs_at(self, indices, actions):
         return self.costs[np.asarray(actions), np.asarray(indices)]
@@ -67,7 +65,7 @@ class TabularMdp(ControlledMdp):
     def induced(self, policy):
         policy = _full_policy(self, policy)
         rows = [self.kernels[a].row(i) for i, a in enumerate(policy)]
-        P = RowStochasticMatrix.from_rows(rows, self.lattice.size)
+        P = from_rows(rows, self.lattice.size)
         return P, self.costs[policy, np.arange(self.lattice.size)]
 
     def induced_apply(self, policy):

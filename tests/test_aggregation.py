@@ -1,6 +1,9 @@
 """Aggregation-operator tests: enclosing boxes and multilinear weights of
-lattice states and m-step targets, the lifted sister chain, and the
-moment-matching diagnostics."""
+lattice states and m-step targets, G and the m-step G against the corner
+loop they replaced, the lifted sister chain, and the moment-matching
+diagnostics."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _oracles as orc
+import _post_oracles as po
+from test_chain import _assert_same_csr
 from momentagg import (
     MarkovRewardProcess,
     RowStochasticMatrix,
@@ -18,13 +23,26 @@ from momentagg import (
     build_scheme,
     first_moment_gap,
     grid_from_axes,
+    induced_mrp,
     lifted_chain,
     local_moments,
     mstep_scheme,
     second_moment_gap,
     weights,
 )
-from momentagg.benchmarks import build_reflecting_rw, build_simple_rw, build_two_point_chain
+from momentagg.aggregation import _bracket, _interp_rows
+from momentagg.benchmarks import (
+    build_hospital,
+    build_jrp,
+    build_reflecting_rw,
+    build_simple_rw,
+    build_two_point_chain,
+    hospital_2ward,
+    hospital_3ward,
+    hospital_4ward,
+    jrp_large,
+    jrp_small,
+)
 
 
 def _grid_0136_squared():
@@ -165,6 +183,106 @@ def test_G_affine_reproduction():
     f_rep = grid.rep_states @ a + b
     f_all = lat.all_states() @ a + b
     assert_allclose(G.apply(f_rep), f_all, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# G and the m-step G from per-axis factors, against the corner loop
+# ---------------------------------------------------------------------------
+
+@st.composite
+def grid_and_points(draw):
+    """A grid on a 1-4 axis box and points on it: exact grid values,
+    lattice integers and fractional points, some outside the hull."""
+    d = draw(st.integers(1, 4))
+    lower, upper, axes = [], [], []
+    for _ in range(d):
+        lo = draw(st.integers(-5, 0))
+        up = draw(st.integers(lo, lo + 12))
+        inner = draw(st.lists(st.integers(lo, up), max_size=4))
+        axes.append(np.array(sorted({lo, up, *inner} | ({0} if lo <= 0 <= up else set()))))
+        lower.append(lo)
+        upper.append(up)
+    grid = grid_from_axes(StateLattice(lower, upper), axes)
+    coord = [
+        st.sampled_from(list(a)).map(float)
+        | st.integers(lo, up).map(float)
+        | st.floats(lo - 2.0, up + 2.0)
+        for a, lo, up in zip(axes, lower, upper)
+    ]
+    points = draw(st.lists(st.tuples(*coord), min_size=1, max_size=8))
+    return grid, np.array(points, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_and_points())
+def test_interp_rows_match_corner_loop_and_dense_kron(case):
+    grid, points = case
+    n, d = points.shape
+    got = _interp_rows(grid, points.T, [np.arange(n)] * d, clamp=True)
+    want = po.interp_csr(grid, points, clamp=True)
+    want.eliminate_zeros()  # the corner loop keeps a weight that rounds to 0
+    _assert_same_csr(got, want)
+    # the dense 1-D weight rows of each axis, multiplied axis 0 first
+    dense = []
+    for axis, y in zip(grid.axes, points.T):
+        lo, hi, t = _bracket(axis, y, clamp=True)
+        D = np.zeros((n, len(axis)))
+        D[np.arange(n), lo] = 1.0 - t
+        D[np.arange(n)[lo != hi], hi[lo != hi]] = t[lo != hi]
+        dense.append(D)
+    kron = np.stack([functools.reduce(np.kron, [D[i] for D in dense]) for i in range(n)])
+    assert np.array_equal(got.toarray(), kron)
+
+
+LATTICES = {
+    "jrp_small": lambda: build_jrp(jrp_small()).lattice,
+    "jrp_large": lambda: build_jrp(jrp_large()).lattice,
+    "hospital2": lambda: build_hospital(hospital_2ward()).lattice,
+    "hospital3": lambda: build_hospital(hospital_3ward()).lattice,
+    "hospital4": lambda: build_hospital(hospital_4ward()).lattice,
+    "reflecting_rw": lambda: build_reflecting_rw(5000, seed=3).lattice,
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICES))
+def test_G_matches_corner_loop(name):
+    lattice = LATTICES[name]()
+    grid = build_grid(lattice, 0.45)
+    want = RowStochasticMatrix(po.interp_csr(grid, lattice.all_states()))
+    _assert_same_csr(build_G(grid).csr, want.csr)
+
+
+def _hospital2_chain():
+    mdp = build_hospital(hospital_2ward())
+    return induced_mrp(mdp, np.zeros(mdp.lattice.size, dtype=np.int64))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize(
+    "make", [lambda: build_reflecting_rw(500, seed=9), _hospital2_chain],
+    ids=["reflecting_rw", "hospital2"],
+)
+def test_mstep_G_matches_corner_loop(make, m, clamp):
+    mrp = make()
+    grid = build_grid(mrp.lattice, 0.45)
+    targets = mrp.lattice.all_states().astype(np.float64)
+    for _ in range(m - 1):
+        targets = mrp.P.apply(targets)
+    want = RowStochasticMatrix(po.interp_csr(grid, targets, clamp=clamp))
+    _assert_same_csr(mstep_scheme(mrp, grid, m, clamp=clamp).G.csr, want.csr)
+
+
+def test_weights_match_corner_loop():
+    grid = build_grid(StateLattice((0, 0, 0), (24, 24, 24)), 0.45)
+    rng = np.random.default_rng(0)
+    points = rng.random((50, 3)) * 26.0 - 1.0
+    points[:10] = np.round(points[:10])
+    points[10:15, 0] = grid.axes[0][3]
+    for p in points:
+        row = po.interp_csr(grid, [p], clamp=True)
+        want = {int(c): float(w) for c, w in zip(row.indices, row.data) if w > 0.0}
+        assert weights(grid, p, clamp=True) == want
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Derived expectations come from the dense oracles in _oracles (power
 series, brute-force row convolutions) rather than from the package.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 import _oracles as orc
+import _post_oracles as po
 from momentagg import (
     MarkovRewardProcess,
     NumericalError,
@@ -211,7 +214,7 @@ def test_from_coo_sums_duplicates():
 
 
 def test_from_rows_and_take_rows():
-    M = RowStochasticMatrix.from_rows([([2], [1.0]), ([0, 1], [0.5, 0.5])], 3)
+    M = po.from_rows([([2], [1.0]), ([0, 1], [0.5, 0.5])], 3)
     assert M.shape == (2, 3)
     sliced = M.take_rows([1])
     assert sliced.shape == (1, 3)
@@ -276,6 +279,91 @@ def test_nnz_budget_guard(kind, monkeypatch):
     monkeypatch.setattr(chain, "NNZ_BUDGET", 10)
     with pytest.raises(ResourceLimitError, match="budget"):
         build()
+
+
+class _NoProduct(sparse.csr_matrix):
+    """A CSR matrix that fails the test if it is ever multiplied."""
+
+    def __matmul__(self, other):
+        raise AssertionError("the refused product was formed")
+
+
+@pytest.mark.parametrize("kind", ["power", "lifted_chain"])
+def test_refused_product_is_never_formed(kind, monkeypatch):
+    # the budget is checked from the factors' row supports, so a refused
+    # product never reaches the sparse multiply
+    P, _ = orc.random_dense_chain(2, 30, sparsity=0.9)
+    M = RowStochasticMatrix(P)
+    if kind == "power":
+        build = lambda: M.power(3)
+    else:
+        _, Q, c, alpha = orc.random_lattice_chain(64, (0, 0), (9, 9), max_jump=9)
+        lat = StateLattice((0, 0), (9, 9))
+        M = RowStochasticMatrix(Q)
+        mrp = MarkovRewardProcess(lat, M, c, alpha)
+        scheme = build_scheme(build_grid(lat, 0.45))
+        build = lambda: lifted_chain(mrp, scheme).materialize()
+    M.csr = _NoProduct(M.csr)
+    with pytest.raises(AssertionError, match="refused product"):
+        build()  # within budget the product is formed, through the patch
+    monkeypatch.setattr(chain, "NNZ_BUDGET", 10)
+    with pytest.raises(ResourceLimitError, match="needs up to [0-9]+ entries"):
+        build()
+
+
+def test_product_bound_caps_rows_at_the_column_count():
+    # without the cap, the row supports of hospital2's induced chain would
+    # count its two-step matrix far past the budget
+    mdp = build_hospital(hospital_2ward())
+    P, _ = mdp.induced(np.zeros(mdp.lattice.size, dtype=np.int64))
+    reach = np.diff(P.csr.indptr)[P.csr.indices]
+    assert int(reach.sum()) > chain.NNZ_BUDGET
+    P2 = P.power(2)
+    assert_allclose(P2.toarray(), P.toarray() @ P.toarray(), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# row-wise Kronecker products
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kron_factors(draw):
+    """1-4 CSR factors whose rows are contiguous runs, zeros allowed inside
+    and at the ends, as (factors, dense copies, row picks)."""
+    n = draw(st.integers(1, 6))
+    value = st.just(0.0) | st.floats(0.0, 10.0, allow_subnormal=False)
+    factors, dense, rows = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        D = np.zeros((n_rows, n_cols))
+        indptr, indices, data = [0], [], []
+        for r in range(n_rows):
+            lo = draw(st.integers(0, n_cols - 1))
+            width = draw(st.integers(1, n_cols - lo))
+            run = draw(st.lists(value, min_size=width, max_size=width))
+            D[r, lo : lo + width] = run
+            indices += range(lo, lo + width)
+            data += run
+            indptr.append(len(indices))
+        factors.append(sparse.csr_matrix((data, indices, indptr), shape=D.shape))
+        dense.append(D)
+        rows.append(np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))))
+    return factors, dense, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(kron_factors())
+def test_row_kron_matches_dense_kron(case):
+    factors, dense, rows = case
+    M = chain.row_kron(factors, rows)
+    # np.kron multiplies axis 0 first, as the builder does, so bit-equal
+    want = np.stack([
+        functools.reduce(np.kron, [D[r[i]] for D, r in zip(dense, rows)])
+        for i in range(len(rows[0]))
+    ])
+    assert M.shape == want.shape
+    assert np.array_equal(M.toarray(), want)
+    assert M.has_canonical_format and np.all(M.data != 0.0)
 
 
 # ---------------------------------------------------------------------------

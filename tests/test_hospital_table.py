@@ -103,7 +103,7 @@ def stacked_rows(mdp, table, indices, actions):
         dense_kernel_row(mdp, table[int(i)][1][int(a)])
         for i, a in zip(indices, actions)
     ]
-    return RowStochasticMatrix.from_rows(entries, mdp.lattice.size)
+    return po.from_rows(entries, mdp.lattice.size)
 
 
 def assert_same_csr(got, expect):

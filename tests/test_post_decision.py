@@ -2,7 +2,8 @@
 
 ``PostDecisionMdp`` defines ``expect``, kernel rows and the induced chain
 once for joint replenishment and hospital overflow.  The
-oracles in ``_post_oracles`` are the parent per-class implementations.
+oracles in ``_post_oracles`` are the parent per-class implementations and
+the dense-span row expansion that ``chain.row_kron`` replaced.
 The hospital keeps its contraction order (axis 0 first), so everything
 there is bit-equal; its random small instances are checked in
 ``test_hospital_table``.  Joint replenishment now contracts axis 0 first where
@@ -19,7 +20,8 @@ from numpy.testing import assert_allclose
 
 import _post_oracles as po
 from test_hospital_table import random_actions
-from momentagg import ControlledMdp, ResourceLimitError, chain
+from test_chain import _assert_same_csr
+from momentagg import ControlledMdp, ResourceLimitError, RowStochasticMatrix, build_grid, chain
 from momentagg.benchmarks import (
     JrpParams,
     PostDecisionMdp,
@@ -136,6 +138,46 @@ def test_jrp_benchmark_rows_and_expect_match_parent(make):
     )
 
 
+MODELS = {
+    "hospital2": lambda: build_hospital(hospital_2ward()),
+    "hospital3": lambda: build_hospital(hospital_3ward()),
+    "jrp_small": lambda: build_jrp(jrp_small()),
+    "jrp_large": lambda: build_jrp(jrp_large()),
+}
+
+
+@pytest.mark.parametrize(
+    "name, states",
+    [
+        ("hospital2", "reps"), ("hospital2", "all"),
+        ("jrp_small", "reps"), ("jrp_small", "all"),
+        ("jrp_large", "reps"), ("jrp_large", "all"),
+        ("hospital3", "reps"),
+    ],
+)
+def test_kernel_rows_match_span_expansion(name, states):
+    mdp = MODELS[name]()
+    if states == "reps":
+        idx = np.asarray(build_grid(mdp.lattice, 0.45).rep_indices)
+    else:
+        idx = np.arange(mdp.lattice.size)
+    rng = np.random.default_rng(41)
+    for actions in (np.zeros(len(idx), dtype=np.int64), random_actions(rng, mdp, idx)):
+        want = RowStochasticMatrix(po.kernel_csr(mdp, mdp.posts_at(idx, actions)))
+        _assert_same_csr(mdp.kernel_rows_at(idx, actions).csr, want.csr)
+
+
+@pytest.mark.parametrize("name", ["hospital2", "jrp_small", "jrp_large"])
+def test_induced_matches_span_expansion(name):
+    mdp = MODELS[name]()
+    idx = np.arange(mdp.lattice.size)
+    policy = random_actions(np.random.default_rng(43), mdp, idx)
+    P, c = mdp.induced(policy)
+    want = RowStochasticMatrix(po.kernel_csr(mdp, mdp.posts_at(idx, policy)))
+    _assert_same_csr(P.csr, want.csr)
+    assert np.array_equal(c, mdp.costs_at(idx, policy))
+
+
 def _span_entries(mdp, policy):
     """Entries the induced rows' spans hold: the product of the per-axis
     widths from first to last nonzero, summed over states."""
@@ -178,12 +220,23 @@ def test_induced_nnz_budget(build, fits, monkeypatch):
         assert mdp.induced(policy)[0].nnz == P.nnz
     else:
         # refused from the widths alone, before any kernel row is built
-        def no_rows(posts):
+        def no_rows(factors, rows):
             raise AssertionError("rows built past the budget")
 
-        monkeypatch.setattr(mdp, "_kernel_csr", no_rows)
+        monkeypatch.setattr(chain, "row_kron", no_rows)
         with pytest.raises(ResourceLimitError, match=f"{entries} entries.*induced_apply"):
             mdp.induced(policy)
+
+
+@pytest.mark.parametrize("name", ["jrp_small", "hospital2"])
+def test_n_actions_is_defined_once(name):
+    # one definition on ControlledMdp reads one entry of the model's counts,
+    # which the model computes once, so a per-state loop stays linear
+    mdp = MODELS[name]()
+    assert "n_actions" not in vars(type(mdp)) and "n_actions" not in vars(PostDecisionMdp)
+    counts = mdp.action_counts()
+    assert mdp.action_counts() is counts and not counts.flags.writeable
+    assert [mdp.n_actions(i) for i in range(0, mdp.lattice.size, 97)] == list(counts[::97])
 
 
 @pytest.mark.parametrize(
