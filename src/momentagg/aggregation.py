@@ -36,13 +36,17 @@ __all__ = [
 
 def _bracket(axis_values, y, *, clamp):
     """Per-axis bracketing: indices (lo, hi) with v[lo] <= y <= v[hi] and
-    interpolation fraction t in [0, 1]; degenerate hits give lo == hi, t = 0."""
+    interpolation fraction t in [0, 1]; degenerate hits give lo == hi, t = 0.
+
+    Without ``clamp``, a target within rounding of the hull is clipped onto
+    it and one further out raises: an m-step target is a mean of lattice
+    states, which can round just past the box edge but not further."""
     v = axis_values.astype(np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if clamp:
-        y = np.clip(y, v[0], v[-1])
-    elif np.any(y < v[0]) or np.any(y > v[-1]):
+    y = np.array(y, dtype=np.float64)  # a copy, clipped in place
+    slack = 1e-9 * max(1.0, abs(v[0]), abs(v[-1]))
+    if not clamp and (np.any(y < v[0] - slack) or np.any(y > v[-1] + slack)):
         raise ValueError("target lies outside the grid hull")
+    np.clip(y, v[0], v[-1], out=y)
     hi = np.searchsorted(v, y, side="left")
     v_hi = v[hi]
     exact = v_hi == y

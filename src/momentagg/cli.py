@@ -13,9 +13,11 @@ numeric health checks) — and writes artifacts into the output directory:
 * ``grid.json``    — axis grids, L, and the growth-bound check
 * ``diagnostics.json`` (diagnose mode)
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure (the
-failure detail is left in ``error.json``).  With a fixed seed and config,
-CSV output is byte-identical across runs and thread counts.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure or a
+materialization refused by ``chain.NNZ_BUDGET`` (the failure detail is left
+in ``error.json``).  With a fixed seed and config, ``values.csv``,
+``grid.json`` and ``diagnostics.json`` are byte-identical across runs and
+thread counts.
 """
 
 from __future__ import annotations
@@ -55,19 +57,6 @@ from .lattice import StateLattice
 __all__ = ["RunConfig", "SummaryRecord", "ConfigError", "load_config", "run", "main"]
 
 ENV_PREFIX = "MOMENTAGG_"
-
-PROBLEMS = (
-    "jrp_small",
-    "jrp_large",
-    "hospital2",
-    "hospital3",
-    "hospital4",
-    "simple_rw",
-    "reflecting_rw",
-    "custom",
-    "box",
-)
-MODES = ("grid", "evaluate", "optimize", "diagnose")
 
 
 class ConfigError(ValueError):
@@ -136,18 +125,58 @@ def _parse_int_tuple(text):
     return tuple(int(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
+def _optional(parse):
+    """``parse``, with an empty value meaning None."""
+    return lambda text: None if text == "" else parse(text)
+
+
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
-def _parse_bool(key, text):
-    """A boolean config value; unset or empty means true."""
-    word = "" if text is None else str(text).strip().lower()
+def _parse_bool(text):
+    """A boolean config value; empty means true.  The error leaves out the
+    key, which ``load_config`` puts in front."""
+    word = text.strip().lower()
     if not word or word in _TRUE:
         return True
     if word in _FALSE:
         return False
-    raise ConfigError(f"{key} must be one of {'/'.join(_TRUE + _FALSE)}, not {text!r}")
+    raise ConfigError(f"must be one of {'/'.join(_TRUE + _FALSE)}, not {text!r}")
+
+
+#: RunConfig field -> (INI section, INI key, parser of the value); a file may
+#: hold only these keys, and a setting given nowhere keeps its RunConfig default
+SETTINGS = {
+    "problem": ("problem", "name", str),
+    "mode": ("problem", "mode", str),
+    "spacing": ("problem", "spacing", float),
+    "alpha": ("problem", "alpha", _optional(float)),
+    "epsilon": ("problem", "epsilon", float),
+    "seed": ("solver", "seed", int),
+    "threads": ("solver", "threads", int),
+    "tol": ("solver", "tol", float),
+    "max_iter": ("solver", "max_iter", int),
+    "out_dir": ("output", "dir", str),
+    "policy": ("problem", "policy", str),
+    "instance_file": ("problem", "file", str),
+    "size": ("problem", "n", _optional(int)),
+    "grid_source": ("problem", "grid", str),
+    "baseline": ("problem", "baseline", _parse_bool),
+    "exact": ("problem", "exact", _parse_bool),
+    "lower": ("problem", "lower", _optional(_parse_int_tuple)),
+    "upper": ("problem", "upper", _optional(_parse_int_tuple)),
+}
+
+#: the settings that a flag, or else a ``MOMENTAGG_<suffix>`` environment
+#: entry, overrides: RunConfig field -> (flag, suffix, flag help)
+OVERRIDES = {
+    "mode": ("--mode", "MODE", "override the configured mode"),
+    "out_dir": ("--out", "OUT", "override the output directory"),
+    "threads": ("--threads", "THREADS", "worker thread count"),
+    "seed": ("--seed", "SEED", "seed for seeded problems"),
+    "spacing": ("--spacing", "SPACING", "grid spacing exponent"),
+}
 
 
 def load_config(path, overrides=None):
@@ -157,147 +186,87 @@ def load_config(path, overrides=None):
     which beat the file.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
-    known = {
-        "problem": {"name", "mode", "spacing", "alpha", "epsilon", "policy",
-                    "file", "n", "grid", "baseline", "exact", "lower", "upper"},
-        "solver": {"seed", "threads", "tol", "max_iter"},
-        "output": {"dir"},
-    }
+    fields = {(section, key): field for field, (section, key, _) in SETTINGS.items()}
+    values = {}
     for section in parser.sections():
-        if section not in known:
+        if section not in {known for known, _ in fields}:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in known[section]:
+            if (section, key) not in fields:
                 raise ConfigError(f"unknown config key '{key}' in [{section}]")
-    prob = parser["problem"] if parser.has_section("problem") else {}
-    solver = parser["solver"] if parser.has_section("solver") else {}
-    output = parser["output"] if parser.has_section("output") else {}
-
-    def get(section, key, default=None):
-        return section.get(key, default)
-
-    values = {
-        "problem": get(prob, "name"),
-        "mode": get(prob, "mode", "evaluate"),
-        "spacing": get(prob, "spacing", "0.45"),
-        "alpha": get(prob, "alpha"),
-        "epsilon": get(prob, "epsilon", "0.1"),
-        "policy": get(prob, "policy", "optimal"),
-        "instance_file": get(prob, "file"),
-        "size": get(prob, "n"),
-        "grid_source": get(prob, "grid", "auto"),
-        "baseline": get(prob, "baseline"),
-        "exact": get(prob, "exact"),
-        "lower": get(prob, "lower"),
-        "upper": get(prob, "upper"),
-        "seed": get(solver, "seed", "0"),
-        "threads": get(solver, "threads", "1"),
-        "tol": get(solver, "tol", "1e-10"),
-        "max_iter": get(solver, "max_iter", "100"),
-        "out_dir": get(output, "dir", "out"),
-    }
-    env_keys = {
-        "mode": "MODE",
-        "out_dir": "OUT",
-        "threads": "THREADS",
-        "seed": "SEED",
-        "spacing": "SPACING",
-    }
-    for key, suffix in env_keys.items():
+            values[fields[section, key]] = parser[section][key]
+    for field, (_, suffix, _) in OVERRIDES.items():
         env = os.environ.get(ENV_PREFIX + suffix)
         if env is not None:
-            values[key] = env
-    for key, val in (overrides or {}).items():
+            values[field] = env
+    for field, val in (overrides or {}).items():
         if val is not None:
-            values[key] = val
+            values[field] = val
 
-    if values["problem"] is None:
+    if "problem" not in values:
         raise ConfigError("config is missing [problem] name")
-    try:
-        cfg = RunConfig(
-            problem=str(values["problem"]),
-            mode=str(values["mode"]),
-            spacing=float(values["spacing"]),
-            alpha=None if values["alpha"] in (None, "") else float(values["alpha"]),
-            epsilon=float(values["epsilon"]),
-            seed=int(values["seed"]),
-            threads=int(values["threads"]),
-            tol=float(values["tol"]),
-            max_iter=int(values["max_iter"]),
-            out_dir=str(values["out_dir"]),
-            policy=str(values["policy"]),
-            instance_file=values["instance_file"],
-            size=None if values["size"] in (None, "") else int(values["size"]),
-            grid_source=str(values["grid_source"]),
-            baseline=_parse_bool("baseline", values["baseline"]),
-            exact=_parse_bool("exact", values["exact"]),
-            lower=None if values["lower"] in (None, "") else _parse_int_tuple(values["lower"]),
-            upper=None if values["upper"] in (None, "") else _parse_int_tuple(values["upper"]),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    return cfg
+    settings = {}
+    for field, (_, key, parse) in SETTINGS.items():
+        if field not in values:
+            continue
+        try:
+            settings[field] = parse(values[field])
+        except ConfigError as exc:
+            raise ConfigError(f"{key} {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
+    return RunConfig(**settings)
 
 
 # ---------------------------------------------------------------------------
 # problem assembly
 # ---------------------------------------------------------------------------
 
-def _with_alpha(params, alpha):
-    return params if alpha is None else dataclasses.replace(params, discount=alpha)
+def _controlled(build, params):
+    """Builder of a benchmark MDP at the configured discount and thread count."""
+
+    def make(cfg):
+        p = params() if cfg.alpha is None else dataclasses.replace(params(), discount=cfg.alpha)
+        mdp = build(p)
+        mdp.threads = cfg.threads
+        return "mdp", mdp
+
+    return make
 
 
-def _build_problem(cfg):
-    """Instantiate the configured problem.
-
-    Returns (kind, object): kind is "mrp", "mdp", or "lattice".
-    """
-    kind, obj = _instantiate(cfg)
-    if kind == "mdp":
-        obj.threads = cfg.threads
-    return kind, obj
+def _custom(cfg):
+    if not cfg.instance_file:
+        raise ConfigError("problem=custom needs file=<instance.npz>")
+    if not Path(cfg.instance_file).exists():
+        raise ConfigError(f"instance file not found: {cfg.instance_file}")
+    return "mrp", benchmarks.load_mrp(cfg.instance_file)
 
 
-def _instantiate(cfg):
-    name = cfg.problem
-    if name == "box":
-        if cfg.lower is None or cfg.upper is None:
-            raise ConfigError("problem=box needs lower= and upper=")
-        return "lattice", StateLattice(cfg.lower, cfg.upper)
-    if name == "simple_rw":
-        n = cfg.size or 20
-        return "mrp", benchmarks.build_simple_rw(n, alpha=cfg.alpha or 0.9)
-    if name == "reflecting_rw":
-        n = cfg.size or 100
-        return "mrp", benchmarks.build_reflecting_rw(n, cfg.seed, alpha=cfg.alpha or 0.95)
-    if name == "custom":
-        if not cfg.instance_file:
-            raise ConfigError("problem=custom needs file=<instance.npz>")
-        if not Path(cfg.instance_file).exists():
-            raise ConfigError(f"instance file not found: {cfg.instance_file}")
-        return "mrp", benchmarks.load_mrp(cfg.instance_file)
-    if name == "jrp_small":
-        return "mdp", benchmarks.build_jrp(_with_alpha(benchmarks.jrp_small(), cfg.alpha))
-    if name == "jrp_large":
-        return "mdp", benchmarks.build_jrp(_with_alpha(benchmarks.jrp_large(), cfg.alpha))
-    if name == "hospital2":
-        return "mdp", benchmarks.build_hospital(
-            _with_alpha(benchmarks.hospital_2ward(), cfg.alpha)
-        )
-    if name == "hospital3":
-        return "mdp", benchmarks.build_hospital(
-            _with_alpha(benchmarks.hospital_3ward(), cfg.alpha)
-        )
-    if name == "hospital4":
-        return "mdp", benchmarks.build_hospital(
-            _with_alpha(benchmarks.hospital_4ward(), cfg.alpha)
-        )
-    raise ConfigError(f"unknown problem {name!r}")  # pragma: no cover
+def _box(cfg):
+    if cfg.lower is None or cfg.upper is None:
+        raise ConfigError("problem=box needs lower= and upper=")
+    return "lattice", StateLattice(cfg.lower, cfg.upper)
+
+
+#: problem name -> builder of (kind, object) from the RunConfig, where kind
+#: is "mdp", "mrp" or "lattice" (a box with no chain: grid mode only)
+PROBLEMS = {
+    "jrp_small": _controlled(benchmarks.build_jrp, benchmarks.jrp_small),
+    "jrp_large": _controlled(benchmarks.build_jrp, benchmarks.jrp_large),
+    "hospital2": _controlled(benchmarks.build_hospital, benchmarks.hospital_2ward),
+    "hospital3": _controlled(benchmarks.build_hospital, benchmarks.hospital_3ward),
+    "hospital4": _controlled(benchmarks.build_hospital, benchmarks.hospital_4ward),
+    "simple_rw": lambda cfg: (
+        "mrp", benchmarks.build_simple_rw(cfg.size or 20, alpha=cfg.alpha or 0.9)
+    ),
+    "reflecting_rw": lambda cfg: (
+        "mrp", benchmarks.build_reflecting_rw(cfg.size or 100, cfg.seed, alpha=cfg.alpha or 0.95)
+    ),
+    "custom": _custom,
+    "box": _box,
+}
 
 
 def _make_grid(cfg, lattice):
@@ -316,7 +285,7 @@ def _make_grid(cfg, lattice):
     return build_grid(lattice, cfg.spacing)
 
 
-def _grid_payload(cfg, grid):
+def _grid_payload(grid):
     bound = (
         meta_count_bound(grid.lattice, grid.spacing_exponent)
         if grid.spacing_exponent is not None
@@ -398,22 +367,27 @@ def _write_json(path, payload):
 # modes
 # ---------------------------------------------------------------------------
 
-def _mode_grid(cfg, out):
-    kind, obj = _build_problem(cfg)
-    lattice = obj if kind == "lattice" else obj.lattice
-    grid = _make_grid(cfg, lattice)
-    _write_json(out / "grid.json", _grid_payload(cfg, grid))
+def _finish(cfg, out, grid, **fields):
+    """Write ``grid.json``; return the summary with the fields every mode
+    fills, plus the mode's own ``fields``."""
+    _write_json(out / "grid.json", _grid_payload(grid))
     return SummaryRecord(
         problem=cfg.problem,
-        mode="grid",
-        n_states=lattice.size,
+        mode=cfg.mode,
+        n_states=grid.lattice.size,
         n_meta=grid.size,
         spacing_exponent=grid.spacing_exponent,
+        **fields,
     )
 
 
+def _mode_grid(cfg, out):
+    kind, obj = PROBLEMS[cfg.problem](cfg)
+    return _finish(cfg, out, _make_grid(cfg, obj if kind == "lattice" else obj.lattice))
+
+
 def _mode_evaluate(cfg, out):
-    kind, obj = _build_problem(cfg)
+    kind, obj = PROBLEMS[cfg.problem](cfg)
     if kind == "lattice":
         raise ConfigError("problem=box supports mode=grid only")
     t0 = time.perf_counter()
@@ -433,7 +407,6 @@ def _mode_evaluate(cfg, out):
         tol=cfg.tol,
     )
     total_ms = (time.perf_counter() - t0) * 1000.0
-    _write_json(out / "grid.json", _grid_payload(cfg, grid))
     columns = []
     if report.V_exact is not None:
         columns.append(("V_exact", report.V_exact))
@@ -442,25 +415,20 @@ def _mode_evaluate(cfg, out):
         columns.append(("abs_gap", report.abs_gap))
         columns.append(("rel_gap", report.rel_gap))
     _write_csv(out / "values.csv", mrp.lattice, columns)
-    runtimes = dict(report.runtimes_ms)
-    runtimes["total"] = total_ms
-    return SummaryRecord(
-        problem=cfg.problem,
-        mode="evaluate",
-        n_states=mrp.lattice.size,
-        n_meta=grid.size,
-        spacing_exponent=grid.spacing_exponent,
+    return _finish(
+        cfg,
+        out,
+        grid,
         mean_rel_gap=report.mean_rel_gap,
         max_rel_gap=report.max_rel_gap,
-        runtime_ms=runtimes,
+        runtime_ms={**report.runtimes_ms, "total": total_ms},
     )
 
 
 def _mode_optimize(cfg, out):
-    kind, obj = _build_problem(cfg)
+    kind, mdp = PROBLEMS[cfg.problem](cfg)
     if kind != "mdp":
         raise ConfigError(f"mode=optimize needs a controlled problem, not {cfg.problem}")
-    mdp = obj
     grid = _make_grid(cfg, mdp.lattice)
     scheme = build_scheme(grid)
     t0 = time.perf_counter()
@@ -486,7 +454,6 @@ def _mode_optimize(cfg, out):
     else:
         columns.append(("V_agg", V_policy))
     columns.append(("action", api.policy))
-    _write_json(out / "grid.json", _grid_payload(cfg, grid))
     _write_csv(out / "values.csv", mdp.lattice, columns)
     times = dict(api.timings_ms)
     runtime = {
@@ -499,12 +466,10 @@ def _mode_optimize(cfg, out):
         "exact_pi": exact_ms,
         "total": api_ms + (exact_ms or 0.0),
     }
-    return SummaryRecord(
-        problem=cfg.problem,
-        mode="optimize",
-        n_states=mdp.lattice.size,
-        n_meta=grid.size,
-        spacing_exponent=grid.spacing_exponent,
+    return _finish(
+        cfg,
+        out,
+        grid,
         mean_rel_gap=mean_rel,
         max_rel_gap=max_rel,
         bellman_mean_pct=residual.mean_rel * 100.0,
@@ -558,30 +523,27 @@ def _diagnostics(cfg, mrp, scheme):
 
 
 def _mode_diagnose(cfg, out):
-    kind, obj = _build_problem(cfg)
+    kind, obj = PROBLEMS[cfg.problem](cfg)
     if kind == "lattice":
         raise ConfigError("problem=box supports mode=grid only")
     if kind == "mdp":
-        try:
-            mrp = induced_mrp(obj, np.zeros(obj.lattice.size, dtype=np.int64))
-        except ResourceLimitError as exc:
-            raise ConfigError(
-                f"{cfg.problem} is too large to materialize for diagnostics: {exc}"
-            ) from exc
+        mrp = induced_mrp(obj, np.zeros(obj.lattice.size, dtype=np.int64))
     else:
         mrp = obj
     grid = _make_grid(cfg, mrp.lattice)
-    scheme = build_scheme(grid)
-    checks = _diagnostics(cfg, mrp, scheme)
-    _write_json(out / "grid.json", _grid_payload(cfg, grid))
+    checks = _diagnostics(cfg, mrp, build_scheme(grid))
     _write_json(out / "diagnostics.json", checks)
-    return SummaryRecord(
-        problem=cfg.problem,
-        mode="diagnose",
-        n_states=mrp.lattice.size,
-        n_meta=grid.size,
-        spacing_exponent=grid.spacing_exponent,
-    )
+    return _finish(cfg, out, grid)
+
+
+#: mode name -> function(cfg, out) that writes the mode's artifacts into
+#: ``out`` and returns its SummaryRecord
+MODES = {
+    "grid": _mode_grid,
+    "evaluate": _mode_evaluate,
+    "optimize": _mode_optimize,
+    "diagnose": _mode_diagnose,
+}
 
 
 def run(config):
@@ -589,13 +551,7 @@ def run(config):
     cfg = config if isinstance(config, RunConfig) else load_config(config)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "grid": _mode_grid,
-        "evaluate": _mode_evaluate,
-        "optimize": _mode_optimize,
-        "diagnose": _mode_diagnose,
-    }
-    summary = dispatch[cfg.mode](cfg, out)
+    summary = MODES[cfg.mode](cfg, out)
     _write_json(out / "summary.json", dataclasses.asdict(summary))
     return summary
 
@@ -606,25 +562,14 @@ def main(argv=None):
         description="Aggregation-based solver runs driven by an INI config.",
     )
     parser.add_argument("--config", required=True, help="path to the INI run config")
-    parser.add_argument("--mode", choices=MODES, help="override the configured mode")
-    parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--threads", type=int, help="worker thread count")
-    parser.add_argument("--seed", type=int, help="seed for seeded problems")
-    parser.add_argument("--spacing", type=float, help="grid spacing exponent")
-    args = parser.parse_args(argv)
-    overrides = {
-        "mode": args.mode,
-        "out_dir": args.out,
-        "threads": args.threads,
-        "seed": args.seed,
-        "spacing": args.spacing,
-    }
+    for field, (flag, _, help_text) in OVERRIDES.items():
+        _, _, parse = SETTINGS[field]
+        choices = MODES if field == "mode" else None
+        parser.add_argument(flag, type=parse, choices=choices, help=help_text)
+    args = vars(parser.parse_args(argv))
+    overrides = {field: args[flag[2:]] for field, (flag, _, _) in OVERRIDES.items()}
     try:
-        cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        cfg = load_config(args["config"], overrides)
         run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -643,7 +588,8 @@ def main(argv=None):
             )
         except OSError:
             pass
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        kind = "resource limit" if isinstance(exc, ResourceLimitError) else "numerical failure"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 2
     return 0
 

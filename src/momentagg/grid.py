@@ -3,7 +3,7 @@
 Along each axis, grid points start dense near zero and spread out with a
 power-law gap: from the box edge nearest the origin, offsets follow
 
-    f(0) = 0,   f(k+1) = f(k) + max(1, ceil(scale * f(k)**s)),
+    f(0) = 0,   f(k+1) = f(k) + max(1, ceil(f(k)**s)),
 
 with ``s`` the spacing exponent, clamped so the axis endpoints are always
 grid points.  Negative coordinates mirror the same magnitudes about zero.
@@ -35,20 +35,20 @@ __all__ = [
 AxisGrid = np.ndarray
 
 
-def _offsets(limit, smoothness, scale):
-    """Magnitude sequence 0, 1, ... grown by f + max(1, ceil(scale*f**s)),
-    with the first overshoot clamped to ``limit``."""
+def _offsets(limit, smoothness):
+    """Magnitude sequence 0, 1, ... grown by f + max(1, ceil(f**s)), with
+    the first overshoot clamped to ``limit``."""
     vals = [0]
     f = 0
     while f < limit:
         # the tiny slack keeps ceil() exact when f**s lands on an integer
-        step = max(1, math.ceil(scale * f**smoothness - 1e-9))
+        step = max(1, math.ceil(f**smoothness - 1e-9))
         f += step
         vals.append(min(f, limit))
     return vals
 
 
-def axis_grid(lower, upper, smoothness, *, spacing_scale=1.0):
+def axis_grid(lower, upper, smoothness):
     """Power-spaced integer grid on [lower, upper].
 
     Parameters
@@ -56,8 +56,6 @@ def axis_grid(lower, upper, smoothness, *, spacing_scale=1.0):
     lower, upper : int
     smoothness : float in (0, 1)
         Spacing exponent; gaps near coordinate v scale like v**smoothness.
-    spacing_scale : float, optional
-        Multiplier on the spacing function (default 1: off).
 
     Returns
     -------
@@ -65,8 +63,6 @@ def axis_grid(lower, upper, smoothness, *, spacing_scale=1.0):
     """
     if not (0.0 < smoothness < 1.0):
         raise ValueError("smoothness must lie in (0, 1)")
-    if spacing_scale <= 0.0:
-        raise ValueError("spacing_scale must be positive")
     lo, up = int(lower), int(upper)
     if lo != lower or up != upper:
         raise ValueError("bounds must be integers")
@@ -75,12 +71,10 @@ def axis_grid(lower, upper, smoothness, *, spacing_scale=1.0):
     vals = set()
     if up >= 0:
         base = max(0, lo)  # nonnegative run starts at the edge nearest 0
-        vals.update(base + f for f in _offsets(up - base, smoothness, spacing_scale))
+        vals.update(base + f for f in _offsets(up - base, smoothness))
     if lo <= 0:
         base = max(0, -up)  # mirrored magnitudes, clamped at |lower|
-        vals.update(
-            -(base + f) for f in _offsets(-lo - base, smoothness, spacing_scale)
-        )
+        vals.update(-(base + f) for f in _offsets(-lo - base, smoothness))
     return np.array(sorted(vals), dtype=np.int64)
 
 
@@ -143,12 +137,9 @@ def _assemble(lattice, axes, smoothness):
     )
 
 
-def build_grid(lattice, smoothness, *, spacing_scale=1.0):
+def build_grid(lattice, smoothness):
     """Coarse grid over the lattice box with the power-spacing recursion."""
-    axes = [
-        axis_grid(lo, up, smoothness, spacing_scale=spacing_scale)
-        for lo, up in zip(lattice.lower, lattice.upper)
-    ]
+    axes = [axis_grid(lo, up, smoothness) for lo, up in zip(lattice.lower, lattice.upper)]
     return _assemble(lattice, axes, float(smoothness))
 
 

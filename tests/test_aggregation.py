@@ -273,6 +273,28 @@ def test_mstep_G_matches_corner_loop(make, m, clamp):
     _assert_same_csr(mstep_scheme(mrp, grid, m, clamp=clamp).G.csr, want.csr)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_mstep_unclamped_takes_targets_rounded_past_the_hull(m):
+    # on jrp_small's policy-0 chain, E_y[X_1] on axis 1 rounds to just below
+    # the box's lower edge at some states; those targets belong on the edge
+    mdp = build_jrp(jrp_small())
+    mrp = induced_mrp(mdp, np.zeros(mdp.lattice.size, dtype=np.int64))
+    grid = build_grid(mrp.lattice, 0.45)
+    targets = mrp.P.apply(mrp.lattice.all_states().astype(np.float64))
+    assert np.any(targets < mrp.lattice.lower)
+    G = mstep_scheme(mrp, grid, m).G.csr
+    _assert_same_csr(G, mstep_scheme(mrp, grid, m, clamp=True).G.csr)
+
+
+def test_weights_clip_only_within_rounding_of_the_hull():
+    grid = _grid_0136_squared()
+    assert weights(grid, (6 + 1e-13, -1e-13)) == weights(grid, (6, 0))
+    with pytest.raises(ValueError, match="outside the grid hull"):
+        weights(grid, (6.5, 0))
+    with pytest.raises(ValueError, match="outside the grid hull"):
+        weights(grid, (3, -0.5))
+
+
 def test_weights_match_corner_loop():
     grid = build_grid(StateLattice((0, 0, 0), (24, 24, 24)), 0.45)
     rng = np.random.default_rng(0)

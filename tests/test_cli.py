@@ -1,13 +1,14 @@
 """Command-line runner tests: config parsing and precedence, artifact
 layout, deterministic output bytes, and exit codes."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from momentagg import cli, exact_value
+from momentagg import chain, cli, exact_value
 from momentagg.benchmarks import build_reflecting_rw, save_mrp
 from momentagg.cli import ConfigError, RunConfig, load_config, main, run
 
@@ -160,6 +161,114 @@ def test_runconfig_validation():
         RunConfig(problem="simple_rw", threads=0)
     with pytest.raises(ConfigError, match="grid"):
         RunConfig(problem="simple_rw", grid_source="dense")
+
+
+#: RunConfig field -> (INI section, INI key, value text, parsed value)
+SAMPLES = {
+    "problem": ("problem", "name", "hospital2", "hospital2"),
+    "mode": ("problem", "mode", "diagnose", "diagnose"),
+    "spacing": ("problem", "spacing", "0.4", 0.4),
+    "alpha": ("problem", "alpha", "0.8", 0.8),
+    "epsilon": ("problem", "epsilon", "0.2", 0.2),
+    "seed": ("solver", "seed", "7", 7),
+    "threads": ("solver", "threads", "3", 3),
+    "tol": ("solver", "tol", "1e-9", 1e-9),
+    "max_iter": ("solver", "max_iter", "55", 55),
+    "out_dir": ("output", "dir", "results", "results"),
+    "policy": ("problem", "policy", "zero", "zero"),
+    "instance_file": ("problem", "file", "walk.npz", "walk.npz"),
+    "size": ("problem", "n", "12", 12),
+    "grid_source": ("problem", "grid", "endpoints", "endpoints"),
+    "baseline": ("problem", "baseline", "off", False),
+    "exact": ("problem", "exact", "no", False),
+    "lower": ("problem", "lower", "-1; 2", (-1, 2)),
+    "upper": ("problem", "upper", "4, 5", (4, 5)),
+}
+
+#: overridable field -> (flag, environment entry, (file, env, flag) values)
+OVERRIDDEN = {
+    "mode": ("--mode", "MOMENTAGG_MODE", ("grid", "optimize", "diagnose")),
+    "out_dir": ("--out", "MOMENTAGG_OUT", ("a", "b", "c")),
+    "threads": ("--threads", "MOMENTAGG_THREADS", ("2", "3", "4")),
+    "seed": ("--seed", "MOMENTAGG_SEED", ("5", "6", "7")),
+    "spacing": ("--spacing", "MOMENTAGG_SPACING", ("0.3", "0.35", "0.4")),
+}
+
+
+def _ini(tmp_path, entries):
+    """INI text of {(section, key): text}, with problem=simple_rw unless given."""
+    sections = {"problem": {"name": "simple_rw"}}
+    for (section, key), text in entries.items():
+        sections.setdefault(section, {})[key] = text
+    body = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+    return _write_ini(tmp_path / "s.ini", body)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+def test_every_setting_is_read_from_its_row(tmp_path, monkeypatch, field):
+    # every RunConfig field has one SETTINGS row: its INI key sets it, a file
+    # without the key leaves RunConfig's own default, and the five
+    # overridable fields take a flag over the environment over the file
+    for _, env, _ in OVERRIDDEN.values():
+        monkeypatch.delenv(env, raising=False)
+    section, key, text, value = SAMPLES[field]
+    assert getattr(load_config(_ini(tmp_path, {(section, key): text})), field) == value
+    if field != "problem":
+        bare = load_config(_ini(tmp_path, {}))
+        assert getattr(bare, field) == getattr(RunConfig(problem="simple_rw"), field)
+    if field not in OVERRIDDEN:
+        return
+    flag, env, (in_file, in_env, in_flag) = OVERRIDDEN[field]
+    parse = type(value)
+    seen = []
+    monkeypatch.setattr(cli, "run", seen.append)
+    ini = _ini(tmp_path, {(section, key): in_file})
+    assert main(["--config", ini]) == 0
+    monkeypatch.setenv(env, in_env)
+    assert main(["--config", ini]) == 0
+    assert main(["--config", ini, flag, in_flag]) == 0
+    got = [getattr(cfg, field) for cfg in seen]
+    assert got == [parse(in_file), parse(in_env), parse(in_flag)]
+
+
+#: problem name -> the kind of object its PROBLEMS row builds
+KINDS = {
+    "jrp_small": "mdp", "jrp_large": "mdp",
+    "hospital2": "mdp", "hospital3": "mdp", "hospital4": "mdp",
+    "simple_rw": "mrp", "reflecting_rw": "mrp", "custom": "mrp", "box": "lattice",
+}
+
+
+def test_modes_and_problems_are_read_from_their_tables(tmp_path, monkeypatch, capsys):
+    assert list(cli.MODES) == ["grid", "evaluate", "optimize", "diagnose"]
+    assert list(cli.PROBLEMS) == list(KINDS)
+    # a mode added to MODES is a --mode choice, passes RunConfig and runs
+    def probe(cfg, out):
+        return cli.SummaryRecord(problem=cfg.problem, mode=cfg.mode, n_states=0)
+
+    monkeypatch.setitem(cli.MODES, "probe", probe)
+    ini = _ini(tmp_path, {("output", "dir"): str(tmp_path)})
+    assert main(["--config", ini, "--mode", "probe"]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["mode"] == "probe"
+    monkeypatch.delitem(cli.MODES, "probe")
+    with pytest.raises(SystemExit):
+        main(["--config", ini, "--mode", "probe"])
+    assert "invalid choice: 'probe'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="unknown mode"):
+        RunConfig(problem="simple_rw", mode="probe")
+    # every problem builds from its row, MDPs at the configured thread count
+    save_mrp(tmp_path / "walk.npz", build_reflecting_rw(10, seed=1))
+    for name, kind in KINDS.items():
+        cfg = RunConfig(
+            problem=name, threads=2, lower=(0, -1), upper=(3, 2),
+            instance_file=str(tmp_path / "walk.npz"),
+        )
+        built, obj = cli.PROBLEMS[name](cfg)
+        assert built == kind
+        assert kind != "mdp" or obj.threads == 2
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +455,28 @@ def test_optimize_rejects_plain_chains(tmp_path):
     assert main(["--config", ini]) == 1
 
 
-def test_optimize_iteration_cap_exits_2(tmp_path):
+@pytest.mark.parametrize("problem", ["hospital3", "hospital4"])
+@pytest.mark.parametrize("mode", ["diagnose", "evaluate"])
+def test_refused_materialization_exits_2(tmp_path, monkeypatch, capsys, problem, mode):
+    # the policy-0 chains of hospital3/4 are over chain.NNZ_BUDGET: both
+    # modes refuse them before any kernel row is built, through one exit
+    def no_rows(factors, rows):
+        raise AssertionError("rows built past the budget")
+
+    monkeypatch.setattr(chain, "row_kron", no_rows)
+    out = tmp_path / "out"
+    ini = _write_ini(
+        tmp_path / "h.ini",
+        f"[problem]\nname = {problem}\nmode = {mode}\npolicy = zero\n[output]\ndir = {out}\n",
+    )
+    assert main(["--config", ini]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "ResourceLimitError"
+    assert "budget" in err["error"]
+    assert capsys.readouterr().err.startswith("resource limit: ")
+
+
+def test_optimize_iteration_cap_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     ini = _write_ini(
         tmp_path / "o.ini",
@@ -356,6 +486,7 @@ def test_optimize_iteration_cap_exits_2(tmp_path):
     assert main(["--config", ini]) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["type"] == "NumericalError"
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,6 @@ def test_axis_validation():
         axis_grid(5, 1, 0.45)
     with pytest.raises(ValueError):
         axis_grid(0.5, 10, 0.45)
-    with pytest.raises(ValueError):
-        axis_grid(0, 10, 0.45, spacing_scale=0.0)
-
-
-def test_axis_spacing_scale_refines():
-    coarse = axis_grid(0, 40, 0.45)
-    fine = axis_grid(0, 40, 0.45, spacing_scale=0.5)
-    assert len(fine) >= len(coarse)
-    assert set(fine) >= {0, 40}
 
 
 @settings(max_examples=80, deadline=None)
