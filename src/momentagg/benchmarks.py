@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse, stats
+from scipy import sparse, special
+from scipy.special import _ufuncs
 
 from . import chain
 from .chain import MarkovRewardProcess, ResourceLimitError, RowStochasticMatrix
@@ -114,9 +115,17 @@ class PostDecisionMdp(ControlledMdp):
             factors.append(F)
         return factors
 
+    def _post_coords(self, indices, actions):
+        return np.unravel_index(self.posts_at(indices, actions), self.post_shape)
+
+    def kernel_row_sizes(self, indices, actions):
+        """Entries ``row_kron`` forms for each kernel row: the product of
+        the row's factor run lengths, at least the row's nnz."""
+        w = self._post_coords(indices, actions)
+        return np.prod([np.diff(F.indptr)[w_j] for F, w_j in zip(self._factors, w)], axis=0)
+
     def kernel_rows_at(self, indices, actions):
-        w = np.unravel_index(self.posts_at(indices, actions), self.post_shape)
-        return RowStochasticMatrix(chain.row_kron(self._factors, w))
+        return RowStochasticMatrix(chain.row_kron(self._factors, self._post_coords(indices, actions)))
 
     def induced_apply(self, policy):
         policy = _full_policy(self, policy)
@@ -134,15 +143,14 @@ class PostDecisionMdp(ControlledMdp):
         entries."""
         policy = _full_policy(self, policy)
         idx = np.arange(self.lattice.size)
-        w = np.unravel_index(self.posts_at(idx, policy), self.post_shape)
-        runs = [np.diff(F.indptr)[w_j] for F, w_j in zip(self._factors, w)]
-        nnz = int(np.prod(runs, axis=0).sum())
+        nnz = int(self.kernel_row_sizes(idx, policy).sum())
         if nnz > chain.NNZ_BUDGET:
             raise ResourceLimitError(
                 f"materializing the induced kernel of {len(idx)} states needs up "
                 f"to {nnz} entries (budget {chain.NNZ_BUDGET}); use induced_apply instead"
             )
-        return RowStochasticMatrix(chain.row_kron(self._factors, w)), self.costs_at(idx, policy)
+        P = RowStochasticMatrix(chain.row_kron(self._factors, self._post_coords(idx, policy)))
+        return P, self.costs_at(idx, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +444,20 @@ def _ward_matrix(cap, beds, p_serve, lam):
     """Occupancy transition matrix of one ward: binomial discharges from
     occupied beds, Poisson arrivals with the tail clamped at the cap."""
     T = np.zeros((cap + 1, cap + 1))
-    pois = stats.poisson.pmf(np.arange(cap + 1), lam)
+    # the functions scipy.stats evaluates, without importing it (35 MB and
+    # 50 ms): Poisson pmf and upper tail P(A >= room), and binomial pmf by
+    # stats.binom's own ufunc, since C(n, k) p^k (1-p)^(n-k) rounds otherwise
+    a = np.arange(cap + 1)
+    pois = np.exp(special.xlogy(a, lam) - special.gammaln(a + 1) - lam)
+    tail = np.concatenate(([1.0], special.pdtrc(a[:-1], lam)))
     for w in range(cap + 1):
         busy = min(w, beds)
-        dep = stats.binom.pmf(np.arange(busy + 1), busy, p_serve)
+        dep = _ufuncs._binom_pmf(np.arange(busy + 1), busy, p_serve)
         for k in range(busy + 1):
             base = w - k
             room = cap - base  # arrivals beyond this land on the cap
             T[w, base : base + room] += dep[k] * pois[:room]
-            T[w, cap] += dep[k] * float(stats.poisson.sf(room - 1, lam))
+            T[w, cap] += dep[k] * tail[room]
     return T
 
 
@@ -519,8 +532,10 @@ class HospitalOverflowMdp(PostDecisionMdp):
 
     def _build_table(self):
         n = self.lattice.size
-        x = self.lattice.to_coords(np.arange(n))
-        beds = np.asarray(self.params.beds)
+        # the expansion runs on 32-bit arrays (hospital4, the largest
+        # instance, has 235,075 actions), freed as soon as they are used
+        x = self.lattice.to_coords(np.arange(n)).astype(np.int32)
+        beds = np.asarray(self.params.beds, dtype=np.int32)
         supply = np.maximum(x - beds, 0)  # waiting patients not yet routed
         space = np.maximum(beds - x, 0)  # free beds not yet taken
         # expand every partial action by the values of one more entry; each
@@ -528,40 +543,45 @@ class HospitalOverflowMdp(PostDecisionMdp):
         parents, values = [], []
         for a, b in self._pairs:
             counts = np.minimum(supply[:, a], space[:, b]) + 1
-            src = np.repeat(np.arange(len(counts)), counts)
-            v = _ragged_arange(np.zeros_like(counts), counts)
+            src = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+            v = np.arange(len(src), dtype=np.int32)
+            v -= (np.cumsum(counts, dtype=np.int32) - counts)[src]
             supply, space = supply[src], space[src]
             supply[:, a] -= v
             space[:, b] -= v
             parents.append(src)
             values.append(v)
-        # walk each complete action back through its partials to its state
-        routes = np.empty((len(supply), len(self._pairs)), dtype=np.int64)
-        owner = np.arange(len(supply))
+        del supply, space, src, v
+        # walk each complete action back through its partials to its state,
+        # dropping each partial level once it is read
+        routes = np.empty((len(values[-1]), len(self._pairs)), dtype=np.int64)
+        owner = np.arange(len(routes), dtype=np.int32)
         for t in reversed(range(len(self._pairs))):
-            routes[:, t] = values[t][owner]
-            owner = parents[t][owner]
-        x = x[owner]
-        out, inc = np.zeros_like(x), np.zeros_like(x)
-        for t, (a, b) in enumerate(self._pairs):
-            out[:, a] += routes[:, t]
-            inc[:, b] += routes[:, t]
+            routes[:, t] = values.pop()[owner]
+            owner = parents.pop()[owner]
+        # occupancy once the routed patients have left, then once they arrive
+        post = x[owner]
+        del x
+        for t, (a, _) in enumerate(self._pairs):
+            post[:, a] -= routes[:, t]
         B = np.asarray(self.params.overflow, dtype=np.float64)
         H = np.asarray(self.params.holding, dtype=np.float64)
         pair_cost = np.array([B[a, b] for a, b in self._pairs])
         # elementwise sums, not matmuls: BLAS may round a pair's dot product
         # differently depending on how many pairs share the call
-        costs = np.sum(routes * pair_cost, axis=1) + np.sum(
-            np.maximum(x - out - beds, 0) * H, axis=1
-        )
+        costs = np.sum(routes * pair_cost, axis=1)
+        costs += np.sum(np.maximum(post - beds, 0) * H, axis=1)
+        for t, (_, b) in enumerate(self._pairs):
+            post[:, b] += routes[:, t]
         counts = np.bincount(owner, minlength=n)
+        del owner
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         table = ActionTable(
             indptr=indptr,
             counts=counts,
             routes=routes,
-            posts=self.lattice.to_index(x - out + inc),
+            posts=self.lattice.to_index(post),
             costs=costs,
         )
         for arr in vars(table).values():

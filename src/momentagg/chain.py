@@ -38,6 +38,12 @@ __all__ = [
 PROB_DROP = 1e-15
 #: absolute tolerance on row sums at validation time
 ROWSUM_TOL = 1e-12
+#: most kernel-row entries aggregated PI builds at once
+#: (``control._assemble_rows``), about 6 MB of values and columns.  Median
+#: first assembly on a 2-core Xeon VM (2 MiB L2 per core), hospital3 /
+#: hospital4: 337 / 1,815 ms at 125,000 entries, 274 / 1,560 ms here,
+#: 333 / 1,655 ms at 1M, 450 / 2,920 ms unblocked (10.4M / 50.5M entries)
+BLOCK_NNZ = 500_000
 #: most entries any materialization may hold (about 1 GB of CSR); matrix
 #: powers, the lifted chain and induced kernels that may pass it raise
 #: ResourceLimitError before they are built
@@ -190,6 +196,19 @@ def check_product_budget(A, B, what):
     nnz = int(np.minimum(np.diff(reach), B.shape[1]).sum())
     if nnz > NNZ_BUDGET:
         raise ResourceLimitError(f"{what} needs up to {nnz} entries (budget {NNZ_BUDGET})")
+
+
+def row_blocks(indptr, budget):
+    """Consecutive row ranges (start, stop) covering a CSR-style ``indptr``
+    of row ends: each block ends at the last row end within ``budget``
+    entries of its start, and a row over budget is a block of its own."""
+    blocks, row = [], 0
+    while row < len(indptr) - 1:
+        end = int(indptr[row]) + budget
+        stop = max(int(np.searchsorted(indptr, end, side="right")) - 1, row + 1)
+        blocks.append((row, stop))
+        row = stop
+    return blocks
 
 
 def row_kron(factors, rows):
@@ -412,17 +431,12 @@ def max_jump(mrp, x=None, *, _block_nnz=4_000_000):
         return float(np.max(np.linalg.norm(states[cols] - states[int(ix)], axis=1)))
     out = np.zeros(lattice.size)
     indptr = csr.indptr
-    row = 0
-    while row < lattice.size:
-        # the last row end within budget; a row over budget is its own block
-        end = int(indptr[row]) + _block_nnz
-        stop = max(int(np.searchsorted(indptr, end, side="right")) - 1, row + 1)
+    for row, stop in row_blocks(indptr, _block_nnz):
         lo, hi = indptr[row], indptr[stop]
         owners = np.repeat(np.arange(row, stop), np.diff(indptr[row:stop + 1]))
         norms = np.linalg.norm(states[csr.indices[lo:hi]] - states[owners], axis=1)
         seg_starts = indptr[row:stop] - lo
         out[row:stop] = np.maximum.reduceat(norms, seg_starts)
-        row = stop
     return out
 
 

@@ -186,17 +186,21 @@ def load_config(path, overrides=None):
     which beat the file.
     """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        entries = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:  # no section header, a repeated section, ...
+        raise ConfigError(f"malformed config file: {exc}") from None
     fields = {(section, key): field for field, (section, key, _) in SETTINGS.items()}
     values = {}
-    for section in parser.sections():
+    for section, keys in entries.items():
         if section not in {known for known, _ in fields}:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
+        for key, val in keys.items():
             if (section, key) not in fields:
                 raise ConfigError(f"unknown config key '{key}' in [{section}]")
-            values[fields[section, key]] = parser[section][key]
+            values[fields[section, key]] = val
     for field, (_, suffix, _) in OVERRIDES.items():
         env = os.environ.get(ENV_PREFIX + suffix)
         if env is not None:

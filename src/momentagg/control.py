@@ -9,7 +9,8 @@ Everything here minimizes discounted cost.  Two solvers are provided:
   policy only at representative states, then a single full sweep extends
   the final policy to every state.  The aggregate rows are assembled for
   all L representatives once; later iterations rebuild only the rows of
-  representatives whose action changed.
+  representatives whose action changed.  Kernel rows are built in blocks
+  of at most ``chain.BLOCK_NNZ`` entries, each freed once multiplied by G.
 
 Greedy ties always break toward the lowest action id, so results are
 reproducible across runs and thread counts.
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from . import chain
 from ._parallel import run_chunked
 from .chain import MarkovRewardProcess, NumericalError, solve_discounted
 from .evaluation import VALUE_FLOOR, GapReport, optimality_gap_report
@@ -53,6 +55,8 @@ class ControlledMdp:
     * ``kernel_rows_at(indices, actions)`` / ``costs_at(indices, actions)``
       — stacked transition rows (a RowStochasticMatrix) and costs of the
       chosen actions;
+    * ``kernel_row_sizes(indices, actions)`` — an upper bound on the nnz of
+      each of those rows, computed without building them;
     * ``induced(policy)`` / ``induced_apply(policy)`` — the chain of a full
       policy as (P, c), materialized or as (matvec, c).
 
@@ -200,19 +204,27 @@ def _assemble_rows(mdp, G, reps, policy_bar, changed, PbarG, c_bar):
     under ``policy_bar``.
 
     Each row of ``Pbar.csr @ G.csr`` depends only on the matching row of
-    Pbar, so the rebuilt rows are spliced in place of the stale ones and
-    the CSR arrays equal those of a fresh product over all L rows.
+    Pbar, so the rows are built in blocks of at most ``chain.BLOCK_NNZ``
+    kernel-row entries (by ``kernel_row_sizes``; a larger row is a block of
+    its own), each block's kernel rows freed once multiplied, and the
+    rebuilt rows are spliced in place of the stale ones: the CSR arrays
+    equal those of one product over all L rows.
     """
     L = len(reps)
-    rows = mdp.kernel_rows_at(reps[changed], policy_bar[changed]).csr @ G.csr
-    costs = mdp.costs_at(reps[changed], policy_bar[changed])
+    idx, act = reps[changed], policy_bar[changed]
+    ends = np.concatenate(([0], np.cumsum(mdp.kernel_row_sizes(idx, act), dtype=np.int64)))
+    rows = [
+        mdp.kernel_rows_at(idx[s:t], act[s:t]).csr @ G.csr
+        for s, t in chain.row_blocks(ends, chain.BLOCK_NNZ)
+    ]
+    costs = mdp.costs_at(idx, act)
     if len(changed) == L:
-        return rows, costs
+        return sparse.vstack(rows, format="csr"), costs
     src = np.arange(L)
     src[changed] = L + np.arange(len(changed))
     c_bar = c_bar.copy()
     c_bar[changed] = costs
-    return sparse.vstack([PbarG, rows], format="csr")[src], c_bar
+    return sparse.vstack([PbarG, *rows], format="csr")[src], c_bar
 
 
 def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
@@ -226,7 +238,9 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     W = G R.  The first iteration assembles all L kernel rows; later ones
     call ``kernel_rows_at``/``costs_at`` only at the representatives whose
     action changed and splice those rows into PbarG, which stays equal,
-    array for array, to a full re-assembly.  When the restricted policy is
+    array for array, to a full re-assembly.  ``kernel_rows_at`` is called
+    on consecutive blocks of those representatives, each within
+    ``chain.BLOCK_NNZ`` entries by ``kernel_row_sizes``.  When the restricted policy is
     stable, a single greedy sweep over all states produces the full policy
     and its one-step value estimate, lifted through ``induced_apply``.
 

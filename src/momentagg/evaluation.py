@@ -66,8 +66,8 @@ def _solve(PbarG, c_bar, alpha):
     """R solving (I - alpha PbarG) R = c_bar for a sparse L x L PbarG.
 
     Sparse LU below ``SPARSE_LU_DENSITY``, dense LU otherwise; either way
-    the residual must be within 1e-10 (1 + |c_bar|_inf), and a singular
-    system raises NumericalError.
+    the residual |R - alpha PbarG R - c_bar|_inf must be within
+    1e-10 (1 + |c_bar|_inf), and a singular system raises NumericalError.
     """
     L = PbarG.shape[0]
     if PbarG.nnz < SPARSE_LU_DENSITY * L * L:
@@ -82,12 +82,23 @@ def _solve(PbarG, c_bar, alpha):
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NumericalError(f"aggregate system is singular: {exc}") from exc
     else:
-        A = np.eye(L) - alpha * PbarG.toarray()
+        # one L x L array in LAPACK's column order, so it is factored in
+        # place (a row-ordered one is copied, outside Python's allocator).
+        # It is filled by blocks of L/16 rows, since toarray(order="F")
+        # would first convert PbarG to CSC.  0 - alpha p keeps zeros +0.0,
+        # so A equals, byte for byte, np.eye(L) - alpha * PbarG.toarray()
+        A = np.empty((L, L), order="F")
+        step = -(-L // 16)
+        for s in range(0, L, step):
+            rows = PbarG[s : s + step].toarray()
+            rows *= alpha
+            A[s : s + step] = np.subtract(0.0, rows, out=rows)
+        A[np.diag_indices(L)] += 1.0
         try:
-            R = sla.solve(A, c_bar)
+            R = sla.solve(A, c_bar, overwrite_a=True)
         except sla.LinAlgError as exc:
             raise NumericalError(f"aggregate system is singular: {exc}") from exc
-    res = float(np.max(np.abs(A @ R - c_bar)))
+    res = float(np.max(np.abs(R - alpha * (PbarG @ R) - c_bar)))
     if not res <= 1e-10 * (1.0 + float(np.max(np.abs(c_bar)))):
         raise NumericalError("aggregate solve residual too large", residual=res)
     return R

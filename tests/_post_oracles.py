@@ -23,6 +23,9 @@ corner loop that summed 2^d multilinear corners in a COO matrix
 (``interp_csr``, once ``aggregation._interp_csr``) and the dense-span
 expansion of the post-decision kernel rows (``kernel_csr``, once
 ``PostDecisionMdp._spans``/``_kernel_csr``).
+
+``ward_matrix`` is the hospital ward kernel as first written, through
+``scipy.stats``, which the package no longer imports.
 """
 
 import numpy as np
@@ -303,3 +306,21 @@ def kernel_csr(mdp, posts):
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
         cols, vals = cols[keep], vals[keep]
     return sparse.csr_matrix((vals, cols, indptr), shape=(len(posts), n))
+
+
+def ward_matrix(cap, beds, p_serve, lam):
+    """Occupancy transition matrix of one ward from ``scipy.stats``'
+    binomial pmf and Poisson pmf and survival function."""
+    from scipy import stats
+
+    T = np.zeros((cap + 1, cap + 1))
+    pois = stats.poisson.pmf(np.arange(cap + 1), lam)
+    for w in range(cap + 1):
+        busy = min(w, beds)
+        dep = stats.binom.pmf(np.arange(busy + 1), busy, p_serve)
+        for k in range(busy + 1):
+            base = w - k
+            room = cap - base
+            T[w, base : base + room] += dep[k] * pois[:room]
+            T[w, cap] += dep[k] * float(stats.poisson.sf(room - 1, lam))
+    return T

@@ -47,6 +47,10 @@ class TabularMdp(ControlledMdp):
         rows = [self.kernels[a].row(i) for i, a in zip(indices, actions)]
         return from_rows(rows, self.lattice.size)
 
+    def kernel_row_sizes(self, indices, actions):
+        nnz = np.stack([np.diff(K.csr.indptr) for K in self.kernels])
+        return nnz[np.asarray(actions), np.asarray(indices)]
+
     def costs_at(self, indices, actions):
         return self.costs[np.asarray(actions), np.asarray(indices)]
 

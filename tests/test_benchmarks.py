@@ -1,6 +1,11 @@
 """Benchmark-instance tests: kernel rows and expected costs against
 brute-force enumeration oracles, action decoding, and the walk builders."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +329,40 @@ def test_ward_matrix_matches_enumeration():
             w, p.beds[0], p.service_probs[0], p.arrival_rates[0], p.caps[0]
         )
         assert_allclose(T[w], expect, atol=1e-13)
+
+
+@pytest.mark.parametrize("make", [hospital_2ward, hospital_3ward, hospital_4ward])
+def test_ward_matrices_equal_the_stats_oracle(make):
+    p = make()
+    for j, K in enumerate(build_hospital(p).kernels):
+        want = po.ward_matrix(p.caps[j], p.beds[j], p.service_probs[j], p.arrival_rates[j])
+        assert K.dtype == want.dtype and K.tobytes() == want.tobytes(), j
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cap=st.integers(1, 40),
+    beds=st.integers(1, 40),
+    p_serve=st.floats(1e-3, 1.0),
+    lam=st.floats(1e-3, 50.0),
+)
+def test_ward_matrix_equals_the_stats_oracle(cap, beds, p_serve, lam):
+    beds = min(beds, cap)
+    got = benchmarks._ward_matrix(cap, beds, p_serve, lam)
+    assert got.tobytes() == po.ward_matrix(cap, beds, p_serve, lam).tobytes()
+
+
+def test_import_leaves_scipy_stats_out():
+    src = str(Path(benchmarks.__file__).resolve().parents[1])
+    code = "import sys, momentagg; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_hospital_actions_match_bruteforce():

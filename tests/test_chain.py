@@ -366,6 +366,23 @@ def test_row_kron_matches_dense_kron(case):
     assert M.has_canonical_format and np.all(M.data != 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 40), max_size=30),
+    budget=st.integers(1, 100),
+)
+def test_row_blocks_are_greedy_within_budget(sizes, budget):
+    # the blocks tile the rows in order; each is as long as the budget
+    # allows, and only a single row may exceed it
+    ends = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    blocks = chain.row_blocks(ends, budget)
+    assert [0] + [t for _, t in blocks] == [s for s, _ in blocks] + [len(sizes)]
+    for s, t in blocks:
+        assert t > s
+        assert t == s + 1 or ends[t] - ends[s] <= budget
+        assert t == len(sizes) or ends[t + 1] - ends[s] > budget
+
+
 # ---------------------------------------------------------------------------
 # MarkovRewardProcess validation
 # ---------------------------------------------------------------------------

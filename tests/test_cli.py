@@ -102,6 +102,25 @@ def test_load_config_rejects_garbage(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("name = simple_rw\n", "no section headers"),
+        ("[problem]\nname = simple_rw\n[problem]\nmode = evaluate\n", "already exists"),
+    ],
+    ids=["no_section_header", "duplicate_section"],
+)
+def test_unparsable_config_is_a_config_error(tmp_path, capsys, body, message):
+    # configparser's own parse errors take the same exit as every other
+    # malformed config: one "config error" line and exit 1, no traceback
+    ini = _write_ini(tmp_path / "bad.ini", body)
+    with pytest.raises(ConfigError, match=message):
+        load_config(ini)
+    assert main(["--config", ini]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed config file") and "Traceback" not in err
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     # A misplaced key must fail loudly instead of silently using the default.
     with pytest.raises(ConfigError, match="unknown config key 'mode'"):

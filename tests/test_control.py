@@ -2,6 +2,7 @@
 variant (against a full-rebuild oracle of its loop), greedy tie-breaking,
 and the residual / gap reports."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,12 +14,13 @@ from numpy.testing import assert_allclose
 import _oracles as orc
 import _post_oracles as po
 from _tabular import TabularMdp
-from momentagg import control
+from momentagg import chain, control
 from momentagg.benchmarks import (
     JointReplenishmentMdp,
     build_hospital,
     build_jrp,
     hospital_2ward,
+    hospital_3ward,
     jrp_small,
 )
 from momentagg import (
@@ -283,13 +285,15 @@ def _spied_api(monkeypatch, mdp, scheme, **kwargs):
     """Run aggregated PI, recording every ``kernel_rows_at`` call and every
     (PbarG, c_bar) handed to the aggregate solve.
 
-    Returns (report or raised NumericalError, row calls, systems).
+    Returns (report or raised NumericalError, row calls, systems).  Each
+    call is (indices, actions, iteration), the iteration counted from 0 by
+    the systems solved before it.
     """
     calls, systems = [], []
     rows_at, solve = mdp.kernel_rows_at, control._solve_aggregate
 
     def spy_rows(indices, actions):
-        calls.append((np.array(indices), np.array(actions)))
+        calls.append((np.array(indices), np.array(actions), len(systems)))
         return rows_at(indices, actions)
 
     def spy_solve(PbarG, c_bar, alpha):
@@ -325,14 +329,20 @@ def _check_against_oracle(monkeypatch, mdp, scheme, oracle_mdp=None, **kwargs):
         assert _same_bytes(report.policy, oracle.policy)
     assert _same_bytes(report.R, oracle.R)
     assert report.iterations == oracle.iterations
-    assert len(systems) == len(calls) == oracle.iterations
-    # the first call assembles all L rows, later ones only the changed reps
-    assert np.array_equal(calls[0][0], reps)
-    assert np.array_equal(calls[0][1], oracle.policies[0])
-    for k in range(1, oracle.iterations):
-        changed = np.flatnonzero(oracle.policies[k] != oracle.policies[k - 1])
-        assert np.array_equal(calls[k][0], reps[changed])
-        assert np.array_equal(calls[k][1], oracle.policies[k][changed])
+    assert len(systems) == oracle.iterations
+    # the first iteration assembles all L rows, later ones only the changed
+    # reps, each in consecutive blocks of at most chain.BLOCK_NNZ kernel-row
+    # entries unless the block is one row
+    for k in range(oracle.iterations):
+        blocks = [(i, a) for i, a, it in calls if it == k]
+        assert blocks, k
+        for i, a in blocks:
+            assert len(i) == 1 or mdp.kernel_row_sizes(i, a).sum() <= chain.BLOCK_NNZ
+        which = np.arange(len(reps))
+        if k:
+            which = np.flatnonzero(oracle.policies[k] != oracle.policies[k - 1])
+        assert np.array_equal(np.concatenate([i for i, _ in blocks]), reps[which])
+        assert np.array_equal(np.concatenate([a for _, a in blocks]), oracle.policies[k][which])
     # each spliced system is, array for array, a fresh full assembly
     for (PbarG, c_bar), (PbarG_ref, c_bar_ref) in zip(systems, oracle.systems):
         assert _same_csr(PbarG, PbarG_ref)
@@ -340,14 +350,38 @@ def _check_against_oracle(monkeypatch, mdp, scheme, oracle_mdp=None, **kwargs):
     return report, oracle
 
 
-@pytest.mark.parametrize(
+def _set_block(monkeypatch, mdp, scheme, block):
+    """Set chain.BLOCK_NNZ for one run: unchanged, 1 (every row is a block
+    of its own), or a fifth of the first assembly's entries."""
+    if block == "one_row":
+        monkeypatch.setattr(chain, "BLOCK_NNZ", 1)
+    elif block == "mid":
+        reps = np.asarray(scheme.grid.rep_indices)
+        total = mdp.kernel_row_sizes(reps, np.zeros(len(reps), dtype=np.int64)).sum()
+        monkeypatch.setattr(chain, "BLOCK_NNZ", int(total) // 5)
+
+
+BUILDS = pytest.mark.parametrize(
     "build",
     [lambda: build_jrp(jrp_small()), lambda: build_hospital(hospital_2ward())],
     ids=["jrp_small", "hospital2"],
 )
+
+
+@BUILDS
 def test_incremental_assembly_matches_full_rebuild(monkeypatch, build):
     mdp = build()
     scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    _, oracle = _check_against_oracle(monkeypatch, mdp, scheme)
+    assert oracle.outcome == "converged" and oracle.iterations >= 3
+
+
+@BUILDS
+@pytest.mark.parametrize("block", ["one_row", "mid"])
+def test_blocked_assembly_matches_full_rebuild(monkeypatch, build, block):
+    mdp = build()
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    _set_block(monkeypatch, mdp, scheme, block)
     _, oracle = _check_against_oracle(monkeypatch, mdp, scheme)
     assert oracle.outcome == "converged" and oracle.iterations >= 3
 
@@ -358,11 +392,13 @@ def test_incremental_assembly_matches_full_rebuild(monkeypatch, build):
     n=st.integers(8, 40),
     n_actions=st.integers(2, 4),
     max_jump=st.integers(1, 3),
+    block=st.sampled_from(["default", "one_row", "mid"]),
 )
-def test_incremental_assembly_matches_full_rebuild_on_tabular(seed, n, n_actions, max_jump):
+def test_incremental_assembly_matches_full_rebuild_on_tabular(seed, n, n_actions, max_jump, block):
     mdp, *_ = _tabular(seed, (0,), (n - 1,), n_actions=n_actions, max_jump=max_jump)
     scheme = build_scheme(build_grid(mdp.lattice, 0.45))
     with pytest.MonkeyPatch.context() as monkeypatch:
+        _set_block(monkeypatch, mdp, scheme, block)
         _check_against_oracle(monkeypatch, mdp, scheme)
 
 
@@ -373,8 +409,30 @@ def test_reps_changed_counts_rebuilt_rows_on_hospital2(monkeypatch):
     L = scheme.grid.size
     assert len(report.reps_changed) == report.iterations
     assert report.reps_changed[-1] == 0 and min(report.reps_changed[:-1]) > 0
-    assert sum(len(idx) for idx, _ in calls) == L + sum(report.reps_changed)
+    assert sum(len(idx) for idx, *_ in calls) == L + sum(report.reps_changed)
     assert exact_policy_iteration(mdp).reps_changed == []
+
+
+def test_first_assembly_memory_is_bounded_on_hospital3():
+    # the 1,000 representative kernel rows hold 10.4M entries; built at once
+    # they took 249 MiB, in blocks the transient is one block's rows
+    mdp = build_hospital(hospital_3ward())
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    reps = np.asarray(scheme.grid.rep_indices)
+    L = len(reps)
+    policy_bar = np.zeros(L, dtype=np.int64)
+    mdp.action_counts()  # the action table is built before tracing
+    tracemalloc.start()
+    try:
+        PbarG, _ = control._assemble_rows(mdp, scheme.G, reps, policy_bar, np.arange(L), None, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mdp.kernel_row_sizes(reps, policy_bar).sum() > 20 * chain.BLOCK_NNZ
+    size = PbarG.data.nbytes + PbarG.indices.nbytes + PbarG.indptr.nbytes
+    # the block products and their stack, plus one block in flight
+    bound = 2 * size + 32 * chain.BLOCK_NNZ
+    assert peak <= bound, f"peak {peak} bytes against {bound}"
 
 
 def test_aggregated_pi_iteration_cap_reports_last_iterate(monkeypatch):

@@ -31,6 +31,7 @@ from momentagg.benchmarks import (
     build_reflecting_rw,
     build_simple_rw,
     hospital_2ward,
+    hospital_3ward,
     jrp_small,
 )
 from momentagg.chain import NumericalError
@@ -185,18 +186,26 @@ def _dense_oracle(PbarG, c_bar, alpha):
     return sla.solve(A, c_bar)
 
 
+MODELS = {
+    "jrp_small": lambda: build_jrp(jrp_small()),
+    "hospital2": lambda: build_hospital(hospital_2ward()),
+    "hospital3": lambda: build_hospital(hospital_3ward()),
+}
+
+
 def _aggregate_case(name):
     """(PbarG, c_bar, alpha) of an instance: MDPs under action 0 at every
     representative state, the walk under its own kernel."""
     if name == "reflecting_rw":
         mrp = build_reflecting_rw(2000, seed=5)
         return (*evaluation._aggregate_system(mrp, _scheme(mrp)), mrp.discount)
-    mdp = build_jrp(jrp_small()) if name == "jrp_small" else build_hospital(hospital_2ward())
+    mdp = MODELS[name]()
     scheme = _scheme(mdp)
     reps = np.asarray(scheme.grid.rep_indices)
-    zero = np.zeros(len(reps), dtype=np.int64)
-    Pbar = mdp.kernel_rows_at(reps, zero)
-    return Pbar.csr @ scheme.G.csr, mdp.costs_at(reps, zero), mdp.discount
+    L = len(reps)
+    zero = np.zeros(L, dtype=np.int64)
+    PbarG, c_bar = control._assemble_rows(mdp, scheme.G, reps, zero, np.arange(L), None, None)
+    return PbarG, c_bar, mdp.discount
 
 
 @pytest.fixture
@@ -233,6 +242,37 @@ def test_aggregate_solve_matches_dense_oracle(name, path, solver_calls):
     assert solver_calls == {"sparse": int(path == "sparse"), "dense": int(path == "dense")}
     expect = _dense_oracle(PbarG, c_bar, alpha)
     assert np.all(np.abs(R - expect) <= 1e-13 * np.abs(expect))
+
+
+@pytest.mark.parametrize("name", ["hospital2", "hospital3"])
+def test_dense_path_builds_one_square_in_place(name, monkeypatch):
+    PbarG, c_bar, alpha = _aggregate_case(name)
+    L = PbarG.shape[0]
+    assert PbarG.nnz >= evaluation.SPARSE_LU_DENSITY * L * L
+    tracemalloc.start()
+    try:
+        R = evaluation._solve(PbarG, c_bar, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * L * L, f"peak {peak} bytes against {8 * L * L} for L x L"
+    # the system and the solution are the np.eye oracle's, byte for byte
+    A_oracle = np.eye(L) - alpha * PbarG.toarray()
+    assert R.tobytes() == sla.solve(A_oracle, c_bar).tobytes()
+    # LAPACK gets the array in column order, to overwrite: scipy would copy
+    # a row-ordered one, outside tracemalloc's view
+    handed = []
+    solve = evaluation.sla.solve
+
+    def spy(a, b, **kwargs):
+        handed.append((np.ascontiguousarray(a), a.flags.f_contiguous, kwargs))
+        return solve(a, b, **kwargs)
+
+    monkeypatch.setattr(evaluation.sla, "solve", spy)
+    evaluation._solve(PbarG, c_bar, alpha)
+    (A, f_order, kwargs), = handed
+    assert A.tobytes() == A_oracle.tobytes()
+    assert f_order and kwargs.get("overwrite_a") is True
 
 
 def test_sparse_path_allocates_no_dense_square():

@@ -167,6 +167,31 @@ def test_kernel_rows_match_span_expansion(name, states):
         _assert_same_csr(mdp.kernel_rows_at(idx, actions).csr, want.csr)
 
 
+@pytest.mark.parametrize(
+    "name, states",
+    [
+        ("hospital2", "reps"), ("hospital2", "all"),
+        ("jrp_small", "reps"), ("jrp_small", "all"),
+        ("jrp_large", "reps"), ("hospital3", "reps"),
+    ],
+)
+def test_kernel_row_sizes_bound_every_row(name, states):
+    # the assembly splits rows into blocks by these sizes before building
+    # any, so each must be at least its row's nnz; it is the row's span
+    mdp = MODELS[name]()
+    if states == "reps":
+        # a quarter of hospital3's representatives keeps the rows at 2.6M entries
+        step = 4 if name == "hospital3" else 1
+        idx = np.asarray(build_grid(mdp.lattice, 0.45).rep_indices)[::step]
+    else:
+        idx = np.arange(mdp.lattice.size)
+    rng = np.random.default_rng(47)
+    for actions in (np.zeros(len(idx), dtype=np.int64), random_actions(rng, mdp, idx)):
+        sizes = mdp.kernel_row_sizes(idx, actions)
+        assert np.array_equal(sizes, _span_sizes(mdp, idx, actions))
+        assert np.all(sizes >= np.diff(mdp.kernel_rows_at(idx, actions).csr.indptr))
+
+
 @pytest.mark.parametrize("name", ["hospital2", "jrp_small", "jrp_large"])
 def test_induced_matches_span_expansion(name):
     mdp = MODELS[name]()
@@ -178,19 +203,23 @@ def test_induced_matches_span_expansion(name):
     assert np.array_equal(c, mdp.costs_at(idx, policy))
 
 
-def _span_entries(mdp, policy):
-    """Entries the induced rows' spans hold: the product of the per-axis
-    widths from first to last nonzero, summed over states."""
-    posts = mdp.posts_at(np.arange(mdp.lattice.size), policy)
-    w = np.unravel_index(posts, mdp.post_shape)
-    total = np.ones(len(posts), dtype=np.int64)
+def _span_sizes(mdp, indices, actions):
+    """Entries each kernel row's span holds: the product of the per-axis
+    widths from first to last nonzero."""
+    w = np.unravel_index(mdp.posts_at(indices, actions), mdp.post_shape)
+    total = np.ones(len(w[0]), dtype=np.int64)
     for w_j, K in zip(w, mdp.kernels):
         K = K.toarray() if hasattr(K, "toarray") else K
         nz = K[w_j] != 0
         first = np.argmax(nz, axis=1)
         last = K.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
         total *= last - first + 1
-    return int(total.sum())
+    return total
+
+
+def _span_entries(mdp, policy):
+    """Entries the induced rows' spans hold, summed over states."""
+    return int(_span_sizes(mdp, np.arange(mdp.lattice.size), policy).sum())
 
 
 @pytest.mark.parametrize(
@@ -209,6 +238,7 @@ def test_induced_nnz_budget(build, fits, monkeypatch):
     policy = np.zeros(n, dtype=np.int64)
     entries = _span_entries(mdp, policy)
     assert (entries <= chain.NNZ_BUDGET) == fits
+    assert int(mdp.kernel_row_sizes(np.arange(n), policy).sum()) == entries
     if fits:
         P, c = mdp.induced(policy)
         assert P.shape == (n, n) and 0 < P.nnz <= entries
@@ -251,7 +281,8 @@ def test_solvers_reach_no_loop_fallback(build):
     mdp = build()
     assert isinstance(mdp, PostDecisionMdp)
     for name in (
-        "action_counts", "greedy_at", "kernel_rows_at", "costs_at", "induced", "induced_apply",
+        "action_counts", "greedy_at", "kernel_rows_at", "kernel_row_sizes", "costs_at",
+        "induced", "induced_apply",
     ):
         assert not hasattr(ControlledMdp, name)
         assert callable(getattr(mdp, name))
