@@ -2,9 +2,10 @@
 local transition moments, maximal jumps, and m-step utilities.
 
 A process is the tuple ``<lattice, P, c, alpha>`` whose value function
-solves ``(I - alpha P) V = c``.  Full-size systems are solved iteratively
-(Krylov with a guaranteed-convergent Richardson fallback) and every solve
-is backed by an explicit infinity-norm residual check.
+solves ``(I - alpha P) V = c``.  Every discounted system, full-size or
+the L x L aggregate one, is solved iteratively (Krylov with a
+guaranteed-convergent Richardson fallback) and every solve is backed by
+an explicit infinity-norm residual check.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ def solve_discounted(P, c, alpha, *, tol=1e-10, maxiter=20000):
         In callable form, ``P(v)`` must return the matrix-vector product.
     c : (n,) cost vector
     alpha : discount in (0, 1)
-    tol : relative residual target; the certified promise is
+    tol : positive relative residual target; the certified promise is
         ``||(I - alpha P) V - c||_inf <= max(tol, 1e-9) * (1 + ||c||_inf)``.
 
     Raises
@@ -334,6 +335,8 @@ def solve_discounted(P, c, alpha, *, tol=1e-10, maxiter=20000):
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("discount must lie in (0, 1)")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     c = np.asarray(c, dtype=np.float64)
     apply_P, n = _apply_of(P)
     n = c.shape[0] if n is None else n

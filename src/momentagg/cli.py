@@ -99,6 +99,10 @@ class RunConfig:
             raise ConfigError("epsilon must lie in [0, 1]")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if not (0.0 < self.tol < np.inf):
+            raise ConfigError("tol must be a positive finite number")
+        if self.max_iter < 1:
+            raise ConfigError("max_iter must be >= 1")
         if self.grid_source not in ("auto", "spaced", "endpoints"):
             raise ConfigError("grid must be auto, spaced, or endpoints")
 

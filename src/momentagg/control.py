@@ -5,7 +5,8 @@ Everything here minimizes discounted cost.  Two solvers are provided:
 * ``exact_policy_iteration`` — classical PI on the full state space;
 * ``aggregated_policy_iteration`` — PI restricted to the representative
   states of an aggregation scheme: each iteration solves the small L x L
-  aggregate system (sparse, see ``evaluation._solve``) and improves the
+  aggregate system (sparse, by ``evaluation._solve``: the same
+  ``solve_discounted`` as exact PI, certified at 1e-10) and improves the
   policy only at representative states, then a single full sweep extends
   the final policy to every state.  The aggregate rows are assembled for
   all L representatives once; later iterations rebuild only the rows of
@@ -232,9 +233,9 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
 
     Per iteration: bring the sparse L x L matrix PbarG and the costs c_bar
     up to date with the current restricted policy, solve the aggregate
-    system ``(I - alpha PbarG) R = c_bar`` by sparse LU (dense LU only when
-    PbarG is dense; the same residual certificate either way), and improve
-    the policy at representative states against the interpolated values
+    system ``(I - alpha PbarG) R = c_bar`` with ``evaluation._solve``
+    (Krylov on the sparse PbarG, its residual certified), and improve the
+    policy at representative states against the interpolated values
     W = G R.  The first iteration assembles all L kernel rows; later ones
     call ``kernel_rows_at``/``costs_at`` only at the representatives whose
     action changed and splice those rows into PbarG, which stays equal,

@@ -9,10 +9,10 @@ where Pbar holds the L kernel rows at representative states, then lift:
 
     V~ = c + alpha P G R.
 
-PbarG stays a sparse L x L matrix.  ``_solve`` factors I - alpha PbarG
-with a sparse LU (SuperLU) and falls back to a dense LAPACK solve only
-when PbarG itself is dense (see ``SPARSE_LU_DENSITY``); both paths certify
-the same residual bound.
+PbarG stays a sparse L x L matrix.  PbarG is row-stochastic, so the
+aggregate system is an ordinary discounted one, and ``_solve`` hands it to
+``chain.solve_discounted``, the solver of every full-size system, then
+certifies the residual at its own, tighter bound.
 
 ``evaluate`` packages the run with gap statistics against an exact value
 (optional) and the interpolation residuals |V - GV| that drive the
@@ -25,11 +25,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
-from .chain import NumericalError, exact_value
+from .chain import NumericalError, exact_value, solve_discounted
 
 __all__ = [
     "EvaluationReport",
@@ -45,16 +42,6 @@ __all__ = [
 #: relative gaps divide by max(V, this floor); costs may vanish at minima
 VALUE_FLOOR = 1e-12
 
-#: I - alpha PbarG is factored by sparse LU below this density (nnz / L^2)
-#: and by dense LAPACK LU at or above it.  The crossover was measured with
-#: both solvers on lattice-local aggregates (2 cores, OpenBLAS): splu took
-#: 0.24x the dense time on jrp_large (L = 1,444, 1-2 % dense) and 0.01x on
-#: a 10^6-state walk (L = 3,617, 0.08 %), but 0.88x at 3.1 % and 1.23x at
-#: 5.0 % on a 2-D stencil with L = 1,444, 0.5x at 2.2 % and 2.1x at 8.5 % on
-#: a 3-D one with L = 1,000, and 2.7-5.3x on the hospital instances at
-#: 16-63 % (hospital4 with L = 4,096 at 16 %: 5.8 s against 1.1 s).
-SPARSE_LU_DENSITY = 0.04
-
 
 def _aggregate_system(mrp, scheme):
     reps = np.asarray(scheme.grid.rep_indices)
@@ -65,39 +52,11 @@ def _aggregate_system(mrp, scheme):
 def _solve(PbarG, c_bar, alpha):
     """R solving (I - alpha PbarG) R = c_bar for a sparse L x L PbarG.
 
-    Sparse LU below ``SPARSE_LU_DENSITY``, dense LU otherwise; either way
-    the residual |R - alpha PbarG R - c_bar|_inf must be within
-    1e-10 (1 + |c_bar|_inf), and a singular system raises NumericalError.
+    The residual |R - alpha PbarG R - c_bar|_inf must be within
+    1e-10 (1 + |c_bar|_inf), tighter than ``solve_discounted`` promises;
+    a system no solver stage converges on raises NumericalError.
     """
-    L = PbarG.shape[0]
-    if PbarG.nnz < SPARSE_LU_DENSITY * L * L:
-        A = (sparse.identity(L, format="csr") - alpha * PbarG).tocsc()
-        # representatives are numbered in lattice order, so the system is
-        # banded: keeping that column order skips COLAMD and factors the
-        # JRP systems 5-11x faster (L = 1,444 to 7,744) and rw1m's 1.5x.
-        # COLAMD would win on random nearest-neighbour stencils from L ~ 8,000
-        # (2.5x on 3-D, L = 8,000), which no benchmark family solves here
-        try:
-            R = spla.splu(A, permc_spec="NATURAL").solve(c_bar)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise NumericalError(f"aggregate system is singular: {exc}") from exc
-    else:
-        # one L x L array in LAPACK's column order, so it is factored in
-        # place (a row-ordered one is copied, outside Python's allocator).
-        # It is filled by blocks of L/16 rows, since toarray(order="F")
-        # would first convert PbarG to CSC.  0 - alpha p keeps zeros +0.0,
-        # so A equals, byte for byte, np.eye(L) - alpha * PbarG.toarray()
-        A = np.empty((L, L), order="F")
-        step = -(-L // 16)
-        for s in range(0, L, step):
-            rows = PbarG[s : s + step].toarray()
-            rows *= alpha
-            A[s : s + step] = np.subtract(0.0, rows, out=rows)
-        A[np.diag_indices(L)] += 1.0
-        try:
-            R = sla.solve(A, c_bar, overwrite_a=True)
-        except sla.LinAlgError as exc:
-            raise NumericalError(f"aggregate system is singular: {exc}") from exc
+    R = solve_discounted(PbarG, c_bar, alpha, tol=1e-10)
     res = float(np.max(np.abs(R - alpha * (PbarG @ R) - c_bar)))
     if not res <= 1e-10 * (1.0 + float(np.max(np.abs(c_bar)))):
         raise NumericalError("aggregate solve residual too large", residual=res)

@@ -438,15 +438,23 @@ def test_value_residual_promise():
 
 
 def test_solve_discounted_callable_operator():
+    # every accepted operator form: dense, RowStochasticMatrix, scipy
+    # sparse (the aggregate system's form) and a callable
     P, c = orc.random_dense_chain(13, 40)
     V_dense = solve_discounted(P, c, 0.9)
-    V_call = solve_discounted(lambda v: P @ v, c, 0.9)
-    assert_allclose(V_call, V_dense, atol=1e-8)
+    for form in (RowStochasticMatrix(P), sparse.csr_matrix(P), lambda v: P @ v):
+        assert_allclose(solve_discounted(form, c, 0.9), V_dense, atol=1e-8)
 
 
 def test_solve_discounted_rejects_bad_discount():
     with pytest.raises(ValueError):
         solve_discounted(np.eye(2), np.ones(2), 1.5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+def test_solve_discounted_rejects_nonpositive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_discounted(0.5 * np.eye(2), np.ones(2), 0.9, tol=tol)
 
 
 def test_solve_discounted_propagates_operator_bugs():

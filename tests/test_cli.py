@@ -180,6 +180,29 @@ def test_runconfig_validation():
         RunConfig(problem="simple_rw", threads=0)
     with pytest.raises(ConfigError, match="grid"):
         RunConfig(problem="simple_rw", grid_source="dense")
+    for tol in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="tol"):
+            RunConfig(problem="simple_rw", tol=tol)
+    with pytest.raises(ConfigError, match="max_iter"):
+        RunConfig(problem="simple_rw", max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("tol = 0", "tol must be a positive finite number"),
+        ("tol = -1e-10", "tol must be a positive finite number"),
+        ("tol = nan", "tol must be a positive finite number"),
+        ("max_iter = 0", "max_iter must be >= 1"),
+    ],
+)
+def test_bad_solver_settings_are_config_errors(tmp_path, capsys, line, message):
+    # a tolerance the solvers cannot meet is refused before any solve,
+    # with one "config error" line and exit 1, no traceback
+    ini = _write_ini(tmp_path / "s.ini", f"[problem]\nname = simple_rw\n[solver]\n{line}\n")
+    assert main(["--config", ini]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
 
 
 #: RunConfig field -> (INI section, INI key, value text, parsed value)
@@ -496,11 +519,13 @@ def test_refused_materialization_exits_2(tmp_path, monkeypatch, capsys, problem,
 
 
 def test_optimize_iteration_cap_exits_2(tmp_path, capsys):
+    # hospital2's restricted policy changes in its first iteration, so a
+    # cap of one iteration stops aggregated PI unconverged
     out = tmp_path / "out"
     ini = _write_ini(
         tmp_path / "o.ini",
         "[problem]\nname = hospital2\nmode = optimize\n"
-        f"[solver]\nmax_iter = 0\n[output]\ndir = {out}\n",
+        f"[solver]\nmax_iter = 1\n[output]\ndir = {out}\n",
     )
     assert main(["--config", ini]) == 2
     err = json.loads((out / "error.json").read_text())
