@@ -3,9 +3,9 @@ local transition moments, maximal jumps, and m-step utilities.
 
 A process is the tuple ``<lattice, P, c, alpha>`` whose value function
 solves ``(I - alpha P) V = c``.  Every discounted system, full-size or
-the L x L aggregate one, is solved iteratively (Krylov with a
-guaranteed-convergent Richardson fallback) and every solve is backed by
-an explicit infinity-norm residual check.
+the L x L aggregate one, is solved iteratively (Bi-CGSTAB, then
+Richardson iteration if needed), and every solve is certified by its
+infinity-norm residual and the a-priori bound on the value.
 """
 
 from __future__ import annotations
@@ -39,12 +39,17 @@ __all__ = [
 PROB_DROP = 1e-15
 #: absolute tolerance on row sums at validation time
 ROWSUM_TOL = 1e-12
-#: most kernel-row entries aggregated PI builds at once
-#: (``control._assemble_rows``), about 6 MB of values and columns.  Median
+#: most kernel-row entries aggregated PI builds (``control._assemble_rows``)
+#: or ``max_jump`` reads at once, about 6 MB of values and columns.  Median
 #: first assembly on a 2-core Xeon VM (2 MiB L2 per core), hospital3 /
 #: hospital4: 337 / 1,815 ms at 125,000 entries, 274 / 1,560 ms here,
 #: 333 / 1,655 ms at 1M, 450 / 2,920 ms unblocked (10.4M / 50.5M entries)
 BLOCK_NNZ = 500_000
+#: most Bi-CGSTAB iterations (two products each) per ``solve_discounted``,
+#: about ten times the most any benchmark solve took (2-core VM): 36 on
+#: jrp_small, jrp_large and hospital2/3/4 at alpha 0.99, 43 on jrp_small at
+#: 0.99999, 47 on the 10^6-state reflecting walk at 0.95
+KRYLOV_MAXITER = 500
 #: most entries any materialization may hold (about 1 GB of CSR); matrix
 #: powers, the lifted chain and induced kernels that may pass it raise
 #: ResourceLimitError before they are built
@@ -307,31 +312,36 @@ _KRYLOV_TOL_KW = (
 )
 
 
-def _krylov(method, A, b, x0, atol, maxiter):
-    kwargs = {_KRYLOV_TOL_KW: 1e-14, "atol": atol, "maxiter": maxiter}
+def _krylov(A, b, x0, atol):
+    kwargs = {_KRYLOV_TOL_KW: 1e-14, "atol": atol, "maxiter": KRYLOV_MAXITER}
     try:
-        x, _ = method(A, b, x0=x0, **kwargs)
+        x, _ = spla.bicgstab(A, b, x0=x0, **kwargs)
     except (ArithmeticError, ValueError):  # np.linalg.LinAlgError is a ValueError
         return None
     return x
 
 
-def solve_discounted(P, c, alpha, *, tol=1e-10, maxiter=20000):
-    """Solve ``(I - alpha P) V = c`` with a certified residual.
+def solve_discounted(P, c, alpha, *, tol=1e-10):
+    """Solve ``(I - alpha P) V = c``: Bi-CGSTAB from ``c / (1 - alpha)``,
+    then, if its iterate misses the target, Richardson iteration from
+    whichever of the two has the smaller residual.
 
     Parameters
     ----------
     P : RowStochasticMatrix, scipy sparse matrix, dense array, or callable
-        In callable form, ``P(v)`` must return the matrix-vector product.
+        Nonnegative with row sums at most one.  In callable form, ``P(v)``
+        must return the matrix-vector product.
     c : (n,) cost vector
     alpha : discount in (0, 1)
-    tol : positive relative residual target; the certified promise is
-        ``||(I - alpha P) V - c||_inf <= max(tol, 1e-9) * (1 + ||c||_inf)``.
+    tol : positive; V is returned only if ``||c + alpha P V - V||_inf <=
+        tol (1 + ||c||_inf) = r`` and ``||V||_inf <= (||c||_inf + r) /
+        (1 - alpha)``, a bound every such V meets when P is as above; it
+        refuses a huge V whose residual cancels in rounding.
 
     Raises
     ------
     NumericalError
-        If no stage of the solver ladder reaches the required residual.
+        If the residual or the bound is not met.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("discount must lie in (0, 1)")
@@ -343,52 +353,38 @@ def solve_discounted(P, c, alpha, *, tol=1e-10, maxiter=20000):
     if c.shape != (n,):
         raise ValueError("cost vector length mismatch")
 
-    scale = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
-    target = tol * scale          # internal goal
-    promise = max(tol, 1e-9) * scale  # certified bound
+    c_max = float(np.max(np.abs(c)))
+    target = tol * (1.0 + c_max)
 
     def residual(V):
         return float(np.max(np.abs(c + alpha * apply_P(V) - V)))
 
     op = spla.LinearOperator((n, n), matvec=lambda v: v - alpha * apply_P(v))
-
-    best = None
-    best_res = np.inf
-
-    def consider(V):
-        nonlocal best, best_res
-        if V is None:
-            return False
-        r = residual(V)
-        if r < best_res:
-            best, best_res = V, r
-        return r <= target
-
     x0 = c / (1.0 - alpha)  # exact for constant cost, decent otherwise
-    for method in (spla.bicgstab, spla.lgmres):
-        if consider(_krylov(method, op, c, x0, 0.25 * target, maxiter)):
-            return best
+    V = _krylov(op, c, x0, 0.25 * target)
+    r = np.inf if V is None else residual(V)
+    if not r <= target:
+        r0 = residual(x0)
+        if not r < r0:  # also when the iterate is NaN
+            V, r = x0, r0
+        # residuals shrink by alpha per step when P is as documented
+        steps = min(np.ceil(np.log(target / r) / np.log(alpha)) + 50, 2_000_000)
+        for _ in range(int(steps)):
+            W = c + alpha * apply_P(V)
+            r = float(np.max(np.abs(W - V)))  # V's residual
+            if r <= target:
+                break
+            V = W
 
-    # Richardson / value iteration: contraction with modulus alpha, so it
-    # converges unconditionally (if slowly for alpha near 1).
-    V = best if best is not None else x0.copy()
-    r0 = max(residual(V), target)
-    cap = int(np.ceil(np.log(target / r0) / np.log(alpha))) + 50
-    cap = min(max(cap, 50), 2_000_000)
-    for _ in range(cap):
-        W = c + alpha * apply_P(V)
-        r = float(np.max(np.abs(W - V)))
-        V = W
-        if r <= 0.5 * target:
-            break
-    consider(V)
-
-    if best_res <= promise:
-        return best
+    # the bound is taken at the target: at the residual, rounding could put
+    # an exact V an ulp past it
+    size, bound = float(np.max(np.abs(V))), (c_max + target) / (1.0 - alpha)
+    if r <= target and size <= bound:
+        return V
     raise NumericalError(
-        f"discounted solve stalled at residual {best_res:.3e} "
-        f"(required {promise:.3e})",
-        residual=best_res,
+        f"discounted solve stalled at residual {r:.3e} (required {target:.3e}), "
+        f"|V|_inf {size:.3e} (bound {bound:.3e})",
+        residual=r,
     )
 
 
@@ -419,11 +415,11 @@ def local_moments(mrp):
     return LocalMoments(mu=mu, sigma2=sigma2)
 
 
-def max_jump(mrp, x=None, *, _block_nnz=4_000_000):
+def max_jump(mrp, x=None):
     """Maximal supported jump distance Delta_x = max_y ||y - x||_2.
 
     With ``x`` given (flat index or coordinate vector) returns a scalar;
-    otherwise the full per-state vector.
+    otherwise the full per-state vector, ``BLOCK_NNZ`` entries at a time.
     """
     lattice = mrp.lattice
     states = lattice.all_states().astype(np.float64)
@@ -434,7 +430,7 @@ def max_jump(mrp, x=None, *, _block_nnz=4_000_000):
         return float(np.max(np.linalg.norm(states[cols] - states[int(ix)], axis=1)))
     out = np.zeros(lattice.size)
     indptr = csr.indptr
-    for row, stop in row_blocks(indptr, _block_nnz):
+    for row, stop in row_blocks(indptr, BLOCK_NNZ):
         lo, hi = indptr[row], indptr[stop]
         owners = np.repeat(np.arange(row, stop), np.diff(indptr[row:stop + 1]))
         norms = np.linalg.norm(states[csr.indices[lo:hi]] - states[owners], axis=1)

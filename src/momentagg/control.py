@@ -234,8 +234,8 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     Per iteration: bring the sparse L x L matrix PbarG and the costs c_bar
     up to date with the current restricted policy, solve the aggregate
     system ``(I - alpha PbarG) R = c_bar`` with ``evaluation._solve``
-    (Krylov on the sparse PbarG, its residual certified), and improve the
-    policy at representative states against the interpolated values
+    (``solve_discounted`` on the sparse PbarG, certified at 1e-10), and
+    improve the policy at representatives against the interpolated values
     W = G R.  The first iteration assembles all L kernel rows; later ones
     call ``kernel_rows_at``/``costs_at`` only at the representatives whose
     action changed and splice those rows into PbarG, which stays equal,

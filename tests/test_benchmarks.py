@@ -20,6 +20,7 @@ from momentagg import (
     benchmarks,
     build_grid,
     build_scheme,
+    chain,
     exact_policy_iteration,
     exact_value,
     induced_mrp,
@@ -624,15 +625,16 @@ def jump_chains():
     }
 
 
-@pytest.mark.parametrize("chain", ["reflecting_rw", "jrp_small"])
-def test_max_jump_matches_per_row_oracle(jump_chains, chain):
-    mrp = jump_chains[chain]
+@pytest.mark.parametrize("name", ["reflecting_rw", "jrp_small"])
+def test_max_jump_matches_per_row_oracle(jump_chains, name, monkeypatch):
+    mrp = jump_chains[name]
     want = _max_jump_per_row(mrp)
     assert max_jump(mrp).tobytes() == want.tobytes()
     # budgets that force many blocks; at 1 and 3 every row of two or more
     # entries is over budget and forms a block of its own
     for budget in (1, 3, 37, 1000):
-        assert max_jump(mrp, _block_nnz=budget).tobytes() == want.tobytes(), budget
+        monkeypatch.setattr(chain, "BLOCK_NNZ", budget)
+        assert max_jump(mrp).tobytes() == want.tobytes(), budget
 
 
 # ---------------------------------------------------------------------------

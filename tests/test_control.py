@@ -2,6 +2,7 @@
 variant (against a full-rebuild oracle of its loop), greedy tie-breaking,
 and the residual / gap reports."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -142,6 +143,33 @@ def test_exact_pi_iteration_cap():
     with pytest.raises(NumericalError) as err:
         exact_policy_iteration(mdp, max_iter=0)
     assert err.value.report.converged is False
+
+
+class _ProductBudgetSpent(Exception):
+    """Raised by a counted operator past its product budget."""
+
+
+def test_exact_pi_near_unit_discount_stays_within_a_product_budget(monkeypatch):
+    # at alpha = 0.99999 Bi-CGSTAB can meet its own 2-norm stop yet miss the
+    # infinity-norm target; Richardson finishes such a solve in few products
+    mdp = build_jrp(dataclasses.replace(jrp_small(), discount=0.99999))
+    induced_apply = mdp.induced_apply
+    products = []
+
+    def counted_induced_apply(policy):
+        apply_P, c = induced_apply(policy)
+
+        def counted(v):
+            products.append(1)
+            if len(products) > 100_000:
+                raise _ProductBudgetSpent
+            return apply_P(v)
+
+        return counted, c
+
+    monkeypatch.setattr(mdp, "induced_apply", counted_induced_apply)
+    report = exact_policy_iteration(mdp)
+    assert report.converged
 
 
 def test_pi_timings_recorded():

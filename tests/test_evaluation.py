@@ -10,7 +10,7 @@ from scipy import linalg as sla
 from scipy import sparse
 
 import _oracles as orc
-from momentagg import control, evaluation
+from momentagg import chain, control, evaluation
 from momentagg import (
     MarkovRewardProcess,
     RowStochasticMatrix,
@@ -263,32 +263,44 @@ def test_dense_pbarg_solve_allocates_no_dense_square():
     assert peak < 8 * L * L / 10, f"peak {peak} bytes against {8 * L * L} for L x L"
 
 
-def test_aggregate_certificate_is_enforced(monkeypatch):
-    # solve_discounted may return at its own promise, max(tol, 1e-9); a
-    # solution whose residual lies between that and the aggregate's 1e-10
-    # certificate must be refused
+def test_solve_discounted_enforces_the_aggregate_certificate(monkeypatch):
+    # a Bi-CGSTAB iterate whose residual lies between the 1e-10 certificate
+    # and 1e-9 must be carried on by Richardson until it meets the former
     PbarG, c_bar, alpha = _aggregate_case("reflecting_rw")
     scale = 1.0 + float(np.max(np.abs(c_bar)))
+    R_star = _dense_oracle(PbarG, c_bar, alpha)
     # (I - alpha PbarG) 1 = (1 - alpha) 1, so a constant shift t moves the
     # residual by (1 - alpha) t everywhere
-    R = _dense_oracle(PbarG, c_bar, alpha) + 5e-10 * scale / (1.0 - alpha)
+    R = R_star + 5e-10 * scale / (1.0 - alpha)
     res = float(np.max(np.abs(R - alpha * (PbarG @ R) - c_bar)))
     assert 1e-10 * scale < res < 1e-9 * scale
-    monkeypatch.setattr(evaluation, "solve_discounted", lambda *args, **kwargs: R)
-    with pytest.raises(NumericalError, match="residual too large") as info:
-        evaluation._solve(PbarG, c_bar, alpha)
-    assert info.value.residual == pytest.approx(res)
+    monkeypatch.setattr(chain, "_krylov", lambda *args: R)
+    V = chain.solve_discounted(PbarG, c_bar, alpha, tol=1e-10)
+    assert float(np.max(np.abs(V - alpha * (PbarG @ V) - c_bar))) <= 1e-10 * scale
+    assert float(np.max(np.abs(V - R_star))) <= _certified_error(c_bar, alpha)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # Bi-CGSTAB overflows
 def test_singular_aggregate_raises():
-    # row 0 of I - alpha PbarG vanishes exactly (alpha * 2 == 1): no
-    # solver stage converges, and each ends at its iteration cap
+    # row 0 of I - alpha PbarG vanishes exactly (alpha * 2 == 1): no solver
+    # stage converges, and the solve must give up within its caps
     L, alpha = 50, 0.5
     M = 0.5 * np.eye(L)
     M[0, 0] = 2.0
+    M = sparse.csr_matrix(M)
+    products = []
+
+    def counted(v):
+        products.append(1)
+        return M @ v
+
     with pytest.raises(NumericalError, match="stalled"):
-        evaluation._solve(sparse.csr_matrix(M), np.ones(L), alpha)
+        evaluation._solve(counted, np.ones(L), alpha)
+    # Bi-CGSTAB makes two products per iteration; Richardson starts at a
+    # residual of at most 1 (that of c / (1 - alpha)) and needs this many
+    # steps to reach the target 1e-10 (1 + 1) at alpha 0.5
+    richardson = int(np.ceil(np.log(2e-10) / np.log(alpha))) + 50
+    assert len(products) <= 2 * chain.KRYLOV_MAXITER + richardson + 8
 
 
 @pytest.mark.parametrize("which", ["jrp_small", "hospital2", "hospital3"])
