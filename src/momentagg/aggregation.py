@@ -12,6 +12,7 @@ sister chain P~ = P G U, which shares every local first moment with P.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +93,21 @@ def weights(grid, point, *, clamp=False):
     return {int(c): float(w) for c, w in zip(row.indices, row.data)}
 
 
+def _axis_factors(grid):
+    """The 1-D factors of G = ⊗_j G_j: each grid axis interpolating the
+    lattice's values on that axis."""
+    lat = grid.lattice
+    return [
+        _interp_factor(axis, np.arange(lo, up + 1), False)
+        for axis, lo, up in zip(grid.axes, lat.lower, lat.upper)
+    ]
+
+
 def build_G(grid):
-    """N x L aggregation matrix: row y holds the corner weights of y, from
-    per-axis factors over the lattice values, picked by y's coordinates."""
-    values = [np.arange(lo, up + 1) for lo, up in zip(grid.lattice.lower, grid.lattice.upper)]
-    offsets = np.unravel_index(np.arange(grid.lattice.size), grid.lattice.shape)
-    return RowStochasticMatrix(_interp_rows(grid, values, offsets))
+    """N x L aggregation matrix G = ⊗_j G_j, axis 0 most significant: row
+    y holds the corner weights of y, one factor row per coordinate."""
+    G = functools.reduce(lambda A, B: sparse.kron(A, B, format="csr"), _axis_factors(grid))
+    return RowStochasticMatrix(G)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse, special
@@ -89,43 +88,21 @@ class PostDecisionMdp(ControlledMdp):
         return tuple(K.shape[0] for K in self.kernels)
 
     def expect(self, W):
-        """E[W(next) | post point w] for every w, shaped ``post_shape``.
+        """E[W(next) | post point w] for every w, shaped ``post_shape``:
+        ``chain.contract`` of the kernels with W, so a sweep costs one small
+        product per axis."""
+        W = np.asarray(W, dtype=np.float64).reshape(self.lattice.shape)
+        return chain.contract(self.kernels, W)
 
-        One product with K_j along each axis j, axis 0 first; sparse K_j
-        stay sparse, so a sweep costs one small product per axis.
-        """
-        E = np.asarray(W, dtype=np.float64).reshape(self.lattice.shape)
-        for j, K in enumerate(self.kernels):
-            E = np.moveaxis(E, j, 0)
-            rest = E.shape[1:]
-            E = np.moveaxis((K @ E.reshape(len(E), -1)).reshape(K.shape[0], *rest), 0, j)
-        return np.ascontiguousarray(E)
-
-    @cached_property
-    def _factors(self):
-        """The kernels as ``chain.row_kron`` factors: row w of factor j runs
-        over K_j[w] from its first to its last nonzero column."""
-        factors = []
-        for K in self.kernels:
-            K = K.toarray() if sparse.issparse(K) else np.asarray(K)
-            run = np.logical_or.accumulate(K != 0, axis=1)
-            run &= np.logical_or.accumulate(K[:, ::-1] != 0, axis=1)[:, ::-1]
-            F = sparse.csr_matrix(run, dtype=np.float64)
-            F.data = K[run]  # both in row-major order
-            factors.append(F)
-        return factors
-
-    def _post_coords(self, indices, actions):
-        return np.unravel_index(self.posts_at(indices, actions), self.post_shape)
-
-    def kernel_row_sizes(self, indices, actions):
-        """Entries ``row_kron`` forms for each kernel row: the product of
-        the row's factor run lengths, at least the row's nnz."""
-        w = self._post_coords(indices, actions)
-        return np.prod([np.diff(F.indptr)[w_j] for F, w_j in zip(self._factors, w)], axis=0)
+    def _kernel_rows(self, indices, actions):
+        # induced builds its rows here: kernel_rows_at is the operation a
+        # caller may wrap on the instance, for aggregated PI's rows only
+        w = np.unravel_index(self.posts_at(indices, actions), self.post_shape)
+        return chain.KronRows(self.kernels, w)
 
     def kernel_rows_at(self, indices, actions):
-        return RowStochasticMatrix(chain.row_kron(self._factors, self._post_coords(indices, actions)))
+        """The pairs' kernel rows as ``chain.KronRows`` of the kernels."""
+        return self._kernel_rows(indices, actions)
 
     def induced_apply(self, policy):
         policy = _full_policy(self, policy)
@@ -143,14 +120,14 @@ class PostDecisionMdp(ControlledMdp):
         entries."""
         policy = _full_policy(self, policy)
         idx = np.arange(self.lattice.size)
-        nnz = int(self.kernel_row_sizes(idx, policy).sum())
+        rows = self._kernel_rows(idx, policy)
+        nnz = int(rows.sizes().sum())
         if nnz > chain.NNZ_BUDGET:
             raise ResourceLimitError(
                 f"materializing the induced kernel of {len(idx)} states needs up "
                 f"to {nnz} entries (budget {chain.NNZ_BUDGET}); use induced_apply instead"
             )
-        P = RowStochasticMatrix(chain.row_kron(self._factors, self._post_coords(idx, policy)))
-        return P, self.costs_at(idx, policy)
+        return rows.matrix, self.costs_at(idx, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +445,9 @@ class ActionTable:
     The actions of state i are the ``counts[i]`` pairs
     ``indptr[i]:indptr[i + 1]``, in action-id order.  Pair p routes
     ``routes[p, t]`` patients along the t-th off-diagonal ward pair
-    (row-major), lands on the post-routing occupancy with flat index
-    ``posts[p]`` and costs ``costs[p]``.  All arrays are read-only.
+    (row-major; ``_route_dtype``), lands on the post-routing occupancy with
+    flat index ``posts[p]`` and costs ``costs[p]``.  All arrays are
+    read-only.
     """
 
     indptr: np.ndarray
@@ -477,6 +455,20 @@ class ActionTable:
     routes: np.ndarray
     posts: np.ndarray
     costs: np.ndarray
+
+
+#: action-table rows a build or a greedy sweep works on at once.  Whole
+#: tables make MB-sized temporaries: hospital3's costs took 11.6 MB of
+#: products, and its full sweep 4.3 ms when an earlier large free had
+#: raised glibc's mmap and trim thresholds, 10 ms when not (page faults on
+#: every temporary); blocks stay cache-sized and reused
+_TABLE_BLOCK = 1 << 15
+
+
+def _route_dtype(caps):
+    """Smallest signed integer type that holds every route count: a route
+    moves at most a ward's cap of patients (int8 on every shipped instance)."""
+    return np.min_scalar_type(-max(caps))
 
 
 def _ragged_arange(starts, counts):
@@ -532,20 +524,23 @@ class HospitalOverflowMdp(PostDecisionMdp):
 
     def _build_table(self):
         n = self.lattice.size
-        # the expansion runs on 32-bit arrays (hospital4, the largest
+        # the expansion runs on small integer arrays, route counts in the
+        # routes' type and parent ids in 32 bits (hospital4, the largest
         # instance, has 235,075 actions), freed as soon as they are used
-        x = self.lattice.to_coords(np.arange(n)).astype(np.int32)
-        beds = np.asarray(self.params.beds, dtype=np.int32)
+        small = _route_dtype(self.params.caps)
+        x = self.lattice.to_coords(np.arange(n)).astype(small)
+        beds = np.asarray(self.params.beds, dtype=small)
         supply = np.maximum(x - beds, 0)  # waiting patients not yet routed
         space = np.maximum(beds - x, 0)  # free beds not yet taken
         # expand every partial action by the values of one more entry; each
         # expansion keeps the parents' order and lists values ascending
         parents, values = [], []
         for a, b in self._pairs:
-            counts = np.minimum(supply[:, a], space[:, b]) + 1
+            counts = np.minimum(supply[:, a], space[:, b]).astype(np.int32) + 1
             src = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
             v = np.arange(len(src), dtype=np.int32)
             v -= (np.cumsum(counts, dtype=np.int32) - counts)[src]
+            v = v.astype(small)
             supply, space = supply[src], space[src]
             supply[:, a] -= v
             space[:, b] -= v
@@ -554,7 +549,7 @@ class HospitalOverflowMdp(PostDecisionMdp):
         del supply, space, src, v
         # walk each complete action back through its partials to its state,
         # dropping each partial level once it is read
-        routes = np.empty((len(values[-1]), len(self._pairs)), dtype=np.int64)
+        routes = np.empty((len(values[-1]), len(self._pairs)), dtype=small)
         owner = np.arange(len(routes), dtype=np.int32)
         for t in reversed(range(len(self._pairs))):
             routes[:, t] = values.pop()[owner]
@@ -568,9 +563,13 @@ class HospitalOverflowMdp(PostDecisionMdp):
         H = np.asarray(self.params.holding, dtype=np.float64)
         pair_cost = np.array([B[a, b] for a, b in self._pairs])
         # elementwise sums, not matmuls: BLAS may round a pair's dot product
-        # differently depending on how many pairs share the call
-        costs = np.sum(routes * pair_cost, axis=1)
-        costs += np.sum(np.maximum(post - beds, 0) * H, axis=1)
+        # differently depending on how many pairs share the call; in row
+        # blocks, so the float products stay a few MB
+        costs = np.empty(len(routes))
+        for s in range(0, len(routes), _TABLE_BLOCK):
+            r, p = routes[s : s + _TABLE_BLOCK], post[s : s + _TABLE_BLOCK]
+            costs[s : s + _TABLE_BLOCK] = np.sum(r * pair_cost, axis=1)
+            costs[s : s + _TABLE_BLOCK] += np.sum(np.maximum(p - beds, 0) * H, axis=1)
         for t, (_, b) in enumerate(self._pairs):
             post[:, b] += routes[:, t]
         counts = np.bincount(owner, minlength=n)
@@ -581,7 +580,7 @@ class HospitalOverflowMdp(PostDecisionMdp):
             indptr=indptr,
             counts=counts,
             routes=routes,
-            posts=self.lattice.to_index(post),
+            posts=np.ravel_multi_index(tuple(post.T), self.lattice.shape),  # lower corner 0
             costs=costs,
         )
         for arr in vars(table).values():
@@ -623,15 +622,20 @@ class HospitalOverflowMdp(PostDecisionMdp):
         t = self.table
         indices = np.asarray(indices, dtype=np.int64)
         counts = t.counts[indices]
-        sel = _ragged_arange(t.indptr[indices], counts)
         EW = self.expect(W).ravel()
-        q = t.costs[sel] + self.discount * EW[t.posts[sel]]
-        # segment argmin keeping the first minimum (the lowest action id)
-        seg = np.cumsum(counts) - counts
-        qmin = np.minimum.reduceat(q, seg)
-        pos = np.where(q == np.repeat(qmin, counts), np.arange(len(q)), len(q))
-        first = np.minimum.reduceat(pos, seg)
-        return first - seg, q[first]
+        actions, qvals = np.empty(len(indices), dtype=np.int64), np.empty(len(indices))
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        for s, e in chain.row_blocks(ends, _TABLE_BLOCK):
+            k = counts[s:e]
+            sel = _ragged_arange(t.indptr[indices[s:e]], k)
+            q = t.costs[sel] + self.discount * EW[t.posts[sel]]
+            # segment argmin keeping the first minimum (the lowest action id)
+            seg = np.cumsum(k) - k
+            qmin = np.minimum.reduceat(q, seg)
+            pos = np.where(q == np.repeat(qmin, k), np.arange(len(q)), len(q))
+            first = np.minimum.reduceat(pos, seg)
+            actions[s:e], qvals[s:e] = first - seg, q[first]
+        return actions, qvals
 
 
 def build_hospital(params):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -23,6 +24,7 @@ __all__ = [
     "NumericalError",
     "ResourceLimitError",
     "RowStochasticMatrix",
+    "KronRows",
     "MarkovRewardProcess",
     "LocalMoments",
     "solve_discounted",
@@ -39,11 +41,8 @@ __all__ = [
 PROB_DROP = 1e-15
 #: absolute tolerance on row sums at validation time
 ROWSUM_TOL = 1e-12
-#: most kernel-row entries aggregated PI builds (``control._assemble_rows``)
-#: or ``max_jump`` reads at once, about 6 MB of values and columns.  Median
-#: first assembly on a 2-core Xeon VM (2 MiB L2 per core), hospital3 /
-#: hospital4: 337 / 1,815 ms at 125,000 entries, 274 / 1,560 ms here,
-#: 333 / 1,655 ms at 1M, 450 / 2,920 ms unblocked (10.4M / 50.5M entries)
+#: most kernel-row entries ``max_jump`` reads at once, about 6 MB of
+#: values and columns
 BLOCK_NNZ = 500_000
 #: most Bi-CGSTAB iterations (two products each) per ``solve_discounted``,
 #: about ten times the most any benchmark solve took (2-core VM): 36 on
@@ -253,6 +252,73 @@ def row_kron(factors, rows):
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
         cols, vals = cols[keep], vals[keep]
     return sparse.csr_matrix((vals, cols, indptr), shape=(len(sizes), n_cols))
+
+
+def contract(mats, X):
+    """(⊗_j M_j) X for an array X: one product with ``mats[j]`` along axis
+    j, axis 0 first, sparse M_j kept sparse; the result is C-contiguous."""
+    for j, M in enumerate(mats):
+        X = np.moveaxis(X, j, 0)
+        rest = X.shape[1:]
+        X = np.moveaxis((M @ X.reshape(len(X), -1)).reshape(M.shape[0], *rest), 0, j)
+    return np.ascontiguousarray(X)
+
+
+def _run_factor(F):
+    """F as a ``row_kron`` factor: row r runs over F[r] from its first to
+    its last nonzero column."""
+    F = F.toarray() if sparse.issparse(F) else np.asarray(F)
+    run = np.logical_or.accumulate(F != 0, axis=1)
+    run &= np.logical_or.accumulate(F[:, ::-1] != 0, axis=1)[:, ::-1]
+    R = sparse.csr_matrix(run, dtype=np.float64)
+    R.data = F[run]  # both in row-major order
+    return R
+
+
+class KronRows:
+    """Stacked rows ⊗_j F_j[rows[j][i]] of per-axis factors, kept factored.
+
+    ``apply`` contracts a vector with the factors over the whole factor box
+    and gathers the rows, forming none; ``times`` composes the rows with
+    per-axis matrices on the right.  ``matrix`` forms them once, as the
+    RowStochasticMatrix of ``row_kron`` over each factor's runs, which
+    ``csr`` and ``nnz`` read; ``sizes`` counts its entries beforehand.
+    """
+
+    def __init__(self, factors, rows):
+        self.factors, self.rows = list(factors), tuple(np.asarray(r) for r in rows)
+        self.shape = len(self.rows[0]), int(np.prod([F.shape[1] for F in self.factors]))
+        self._flat = np.ravel_multi_index(self.rows, [F.shape[0] for F in self.factors])
+
+    def apply(self, f):
+        X = np.asarray(f, dtype=np.float64).reshape([F.shape[1] for F in self.factors])
+        return contract(self.factors, X).ravel()[self._flat]
+
+    def times(self, mats):
+        """These rows times ⊗_j mats[j] for sparse M_j: the factors F_j M_j,
+        sparse where F_j is.  (Dense products of jrp_large's size run on
+        OpenBLAS threads, which stalled 10-28 ms each on a busy 2-core VM.)"""
+        return KronRows([F @ M for F, M in zip(self.factors, mats)], self.rows)
+
+    @cached_property
+    def _runs(self):
+        return [_run_factor(F) for F in self.factors]
+
+    def sizes(self):
+        """Entries ``row_kron`` forms per row: the product of its runs."""
+        return np.prod([np.diff(R.indptr)[r] for R, r in zip(self._runs, self.rows)], axis=0)
+
+    @cached_property
+    def matrix(self):
+        return RowStochasticMatrix(row_kron(self._runs, self.rows))
+
+    @property
+    def csr(self):
+        return self.matrix.csr
+
+    @property
+    def nnz(self):
+        return self.matrix.nnz
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,13 @@ Everything here minimizes discounted cost.  Two solvers are provided:
 * ``exact_policy_iteration`` — classical PI on the full state space;
 * ``aggregated_policy_iteration`` — PI restricted to the representative
   states of an aggregation scheme: each iteration solves the small L x L
-  aggregate system (sparse, by ``evaluation._solve``: the same
+  aggregate system (by ``evaluation._solve``: the same
   ``solve_discounted`` as exact PI, certified at 1e-10) and improves the
   policy only at representative states, then a single full sweep extends
-  the final policy to every state.  The aggregate rows are assembled for
-  all L representatives once; later iterations rebuild only the rows of
-  representatives whose action changed.  Kernel rows are built in blocks
-  of at most ``chain.BLOCK_NNZ`` entries, each freed once multiplied by G.
+  the final policy to every state.  P̄G is never formed: G is a Kronecker
+  product of 1-D factors G_j, so with the model's kernel rows in factored
+  form one aggregate product is one small contraction per axis with
+  A_j = K_j G_j.
 
 Greedy ties always break toward the lowest action id, so results are
 reproducible across runs and thread counts.
@@ -23,9 +23,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import chain
+from .aggregation import _axis_factors
 from ._parallel import run_chunked
 from .chain import MarkovRewardProcess, NumericalError, solve_discounted
 from .evaluation import VALUE_FLOOR, GapReport, optimality_gap_report
@@ -54,16 +54,16 @@ class ControlledMdp:
     * ``greedy_at(indices, W)`` — argmin_a c(x,a) + alpha sum_y p^a(x,y) W(y)
       at the given states, as (actions, q_values), ties to the lowest id;
     * ``kernel_rows_at(indices, actions)`` / ``costs_at(indices, actions)``
-      — stacked transition rows (a RowStochasticMatrix) and costs of the
-      chosen actions;
-    * ``kernel_row_sizes(indices, actions)`` — an upper bound on the nnz of
-      each of those rows, computed without building them;
+      — the transition rows and costs of the chosen actions; the rows come
+      in factored form (``chain.KronRows``: ``apply``, ``times``, and
+      ``csr``/``nnz`` formed on demand);
     * ``induced(policy)`` / ``induced_apply(policy)`` — the chain of a full
       policy as (P, c), materialized or as (matvec, c).
 
     Both benchmark families derive from ``benchmarks.PostDecisionMdp``,
     which defines the kernel rows and the induced chain once from per-axis
-    kernels and the model's post-decision points.
+    kernels and the model's post-decision points: its rows are the kernels
+    at each pair's post point.
 
     Action ids are 0-based and contiguous per state; id 0 is always the
     "do nothing" action where the model has one.
@@ -115,12 +115,14 @@ class PiReport:
     ``timings_ms`` holds per-phase wall times: lists keyed
     ``compute_P`` / ``evaluation`` / ``update`` (one entry per iteration)
     plus scalar totals (``full_update``, ``lift``, ``total``) when the
-    phase exists.  In aggregated PI, ``compute_P`` times the assembly of
-    the rows rebuilt that iteration (all L rows only in the first).
+    phase exists.  In aggregated PI, ``compute_P`` times the post-point and
+    cost gathers at the representatives.
 
     ``reps_changed`` holds, per iteration of aggregated PI, how many
     representatives changed action in the improvement step; it ends in 0
-    when the run converged.  Exact PI leaves it empty.
+    when the run converged.  ``products`` holds, per iteration, the
+    operator products its aggregate solve made.  Exact PI leaves both
+    empty.
     """
 
     iterations: int
@@ -131,6 +133,7 @@ class PiReport:
     bellman_sup: float | None = None
     timings_ms: dict = field(default_factory=dict)
     reps_changed: list = field(default_factory=list)
+    products: list = field(default_factory=list)
 
 
 def _now_ms():
@@ -200,54 +203,22 @@ def exact_policy_iteration(mdp, policy0=None, *, tol=1e-10, max_iter=200):
     raise err
 
 
-def _assemble_rows(mdp, G, reps, policy_bar, changed, PbarG, c_bar):
-    """PbarG and c_bar with the rows of representatives ``changed`` rebuilt
-    under ``policy_bar``.
-
-    Each row of ``Pbar.csr @ G.csr`` depends only on the matching row of
-    Pbar, so the rows are built in blocks of at most ``chain.BLOCK_NNZ``
-    kernel-row entries (by ``kernel_row_sizes``; a larger row is a block of
-    its own), each block's kernel rows freed once multiplied, and the
-    rebuilt rows are spliced in place of the stale ones: the CSR arrays
-    equal those of one product over all L rows.
-    """
-    L = len(reps)
-    idx, act = reps[changed], policy_bar[changed]
-    ends = np.concatenate(([0], np.cumsum(mdp.kernel_row_sizes(idx, act), dtype=np.int64)))
-    rows = [
-        mdp.kernel_rows_at(idx[s:t], act[s:t]).csr @ G.csr
-        for s, t in chain.row_blocks(ends, chain.BLOCK_NNZ)
-    ]
-    costs = mdp.costs_at(idx, act)
-    if len(changed) == L:
-        return sparse.vstack(rows, format="csr"), costs
-    src = np.arange(L)
-    src[changed] = L + np.arange(len(changed))
-    c_bar = c_bar.copy()
-    c_bar[changed] = costs
-    return sparse.vstack([PbarG, *rows], format="csr")[src], c_bar
-
-
 def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     """Policy iteration on representative states only, plus one full sweep.
 
-    Per iteration: bring the sparse L x L matrix PbarG and the costs c_bar
-    up to date with the current restricted policy, solve the aggregate
-    system ``(I - alpha PbarG) R = c_bar`` with ``evaluation._solve``
-    (``solve_discounted`` on the sparse PbarG, certified at 1e-10), and
-    improve the policy at representatives against the interpolated values
-    W = G R.  The first iteration assembles all L kernel rows; later ones
-    call ``kernel_rows_at``/``costs_at`` only at the representatives whose
-    action changed and splice those rows into PbarG, which stays equal,
-    array for array, to a full re-assembly.  ``kernel_rows_at`` is called
-    on consecutive blocks of those representatives, each within
-    ``chain.BLOCK_NNZ`` entries by ``kernel_row_sizes``.  When the restricted policy is
-    stable, a single greedy sweep over all states produces the full policy
-    and its one-step value estimate, lifted through ``induced_apply``.
+    Per iteration: take the kernel rows (factored) and costs c_bar of the
+    representatives under the restricted policy, solve ``(I - alpha PbarG)
+    R = c_bar`` with ``evaluation._solve`` (``solve_discounted``, certified
+    at 1e-10) and improve the policy at representatives against W = G R.
+    PbarG is an operator: with A_j = K_j G_j (the rows' factors times G's
+    1-D factors, formed once per call), a product contracts R with the A_j
+    one axis at a time and gathers at the rows.  When the
+    restricted policy is stable, one greedy sweep over all states gives the
+    full policy, and its one-step value is lifted through ``induced_apply``.
 
     Returns a PiReport whose ``value`` is V~ = c + alpha P (G R) under the
-    returned policy, whose ``R`` is the final aggregate value and whose
-    ``reps_changed`` counts the representatives changed per iteration.
+    returned policy and whose ``R`` is the final aggregate value.  Raises
+    ValueError for a scheme whose G is not a product of 1-D factors.
     """
     reps = np.asarray(scheme.grid.rep_indices)
     L = len(reps)
@@ -258,54 +229,58 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
         if policy_bar.shape != (L,):
             raise ValueError(f"restricted policy must have length {L}")
         mdp.check_actions(reps, policy_bar)
+    # the contraction assumes G = ⊗_j G_j, which an m-step scheme's is not
+    grid, G_axes = scheme.grid, _axis_factors(scheme.grid)
+    probe = np.random.default_rng(0).random(L)
+    product = chain.contract(G_axes, probe.reshape(grid.shape)).ravel()
+    if not np.allclose(scheme.G.apply(probe), product, rtol=0.0, atol=1e-12):
+        raise ValueError("aggregated PI needs G = ⊗_j G_j, a product of 1-D factors")
     alpha = mdp.discount
-    G = scheme.G
     times = {"compute_P": [], "evaluation": [], "update": []}
-    reps_changed = []
+    reps_changed, products = [], []
     t_start = _now_ms()
     seen = {policy_bar.tobytes()}
-    PbarG = c_bar = R = W = None
-    changed = np.arange(L)
-    converged = False
+    A = PbarG = R = W = None
+    converged = cycled = False
     iterations = 0
+
+    def apply_PbarG(v):
+        products[-1] += 1
+        return PbarG.apply(v)
+
     for it in range(1, max_iter + 1):
         iterations = it
         t0 = _now_ms()
-        PbarG, c_bar = _assemble_rows(mdp, G, reps, policy_bar, changed, PbarG, c_bar)
+        Pbar = mdp.kernel_rows_at(reps, policy_bar)
+        c_bar = mdp.costs_at(reps, policy_bar)
+        if A is None:  # a model's row factors are the same at every call
+            A = Pbar.times(G_axes).factors
+        PbarG = chain.KronRows(A, Pbar.rows)
         t1 = _now_ms()
-        R = _solve_aggregate(PbarG, c_bar, alpha)
+        products.append(0)
+        R = _solve_aggregate(apply_PbarG, c_bar, alpha)
         t2 = _now_ms()
-        W = G.apply(R)
+        W = scheme.G.apply(R)
         new_bar, _ = _greedy(mdp, reps, W)
         t3 = _now_ms()
         times["compute_P"].append(t1 - t0)
         times["evaluation"].append(t2 - t1)
         times["update"].append(t3 - t2)
-        changed = np.flatnonzero(new_bar != policy_bar)
-        reps_changed.append(len(changed))
-        if not changed.size:
-            converged = True
+        reps_changed.append(int(np.count_nonzero(new_bar != policy_bar)))
+        converged = reps_changed[-1] == 0
+        if converged:
             break
-        key = new_bar.tobytes()
-        if key in seen:
-            err = NumericalError(
-                "restricted policy cycled without stabilizing"
-            )
-            err.report = PiReport(
-                iterations=it,
-                converged=False,
-                policy=new_bar,
-                R=R,
-                timings_ms=times,
-                reps_changed=reps_changed,
-            )
-            raise err
-        seen.add(key)
+        cycled = new_bar.tobytes() in seen
+        seen.add(new_bar.tobytes())
         policy_bar = new_bar
+        if cycled:
+            break
     if not converged:
         times["total"] = _now_ms() - t_start
         err = NumericalError(
-            f"aggregate policy iteration did not stabilize in {max_iter} iterations"
+            "restricted policy cycled without stabilizing"
+            if cycled
+            else f"aggregate policy iteration did not stabilize in {max_iter} iterations"
         )
         err.report = PiReport(
             iterations=iterations,
@@ -314,6 +289,7 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
             R=R,
             timings_ms=times,
             reps_changed=reps_changed,
+            products=products,
         )
         raise err
     # full update: one greedy sweep over every state against W = G R
@@ -334,6 +310,7 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
         R=R,
         timings_ms=times,
         reps_changed=reps_changed,
+        products=products,
     )
 
 

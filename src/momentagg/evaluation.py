@@ -9,8 +9,9 @@ where Pbar holds the L kernel rows at representative states, then lift:
 
     V~ = c + alpha P G R.
 
-PbarG stays a sparse L x L matrix.  PbarG is row-stochastic, so the
-aggregate system is an ordinary discounted one, and ``_solve`` hands it to
+PbarG stays a sparse L x L matrix (aggregated PI in ``control`` applies it
+as an operator instead).  PbarG is row-stochastic, so the aggregate system
+is an ordinary discounted one, and ``_solve`` hands it to
 ``chain.solve_discounted``, the solver of every full-size system, whose
 certificate it takes at 1e-10.
 
@@ -50,8 +51,9 @@ def _aggregate_system(mrp, scheme):
 
 
 def _solve(PbarG, c_bar, alpha):
-    """R solving (I - alpha PbarG) R = c_bar for a sparse L x L PbarG, with
-    ``solve_discounted``'s certificate at 1e-10 (1 + |c_bar|_inf).
+    """R solving (I - alpha PbarG) R = c_bar, with ``solve_discounted``'s
+    certificate at 1e-10 (1 + |c_bar|_inf).  PbarG is a sparse L x L matrix
+    (``evaluate``) or a callable operator R -> PbarG R (aggregated PI).
 
     Kept a function of its own, bound to ``control._solve_aggregate``:
     ``perfbench/pipeline.py`` swaps ``control.solve_discounted`` for a

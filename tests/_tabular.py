@@ -6,10 +6,24 @@ solvers call directly from those arrays.
 """
 
 import numpy as np
+from scipy import sparse
 
 from _post_oracles import from_rows
 from momentagg import ControlledMdp
+from momentagg.chain import KronRows, row_kron
 from momentagg.control import _full_policy
+
+
+class FlatRows(KronRows):
+    """Rows of a tabular model as ``KronRows`` with one factor, every
+    action's kernel stacked, over the flattened lattice: pair (i, a) is row
+    a N + i.  Its ``times`` takes one factor per lattice axis and multiplies
+    by their row-Kronecker product, as G is built."""
+
+    def times(self, mats):
+        shape = tuple(M.shape[0] for M in mats)
+        offsets = np.unravel_index(np.arange(int(np.prod(shape))), shape)
+        return super().times([row_kron(mats, offsets)])
 
 
 class TabularMdp(ControlledMdp):
@@ -44,12 +58,9 @@ class TabularMdp(ControlledMdp):
         return np.full(self.lattice.size, len(self.kernels), dtype=np.int64)
 
     def kernel_rows_at(self, indices, actions):
-        rows = [self.kernels[a].row(i) for i, a in zip(indices, actions)]
-        return from_rows(rows, self.lattice.size)
-
-    def kernel_row_sizes(self, indices, actions):
-        nnz = np.stack([np.diff(K.csr.indptr) for K in self.kernels])
-        return nnz[np.asarray(actions), np.asarray(indices)]
+        stacked = sparse.vstack([K.csr for K in self.kernels], format="csr")
+        pairs = np.asarray(actions) * self.lattice.size + np.asarray(indices)
+        return FlatRows([stacked], [pairs])
 
     def costs_at(self, indices, actions):
         return self.costs[np.asarray(actions), np.asarray(indices)]

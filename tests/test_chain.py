@@ -83,8 +83,8 @@ def _assert_same_csr(got, expect):
 
 @pytest.mark.parametrize("instance", ["jrp_large", "hospital3"])
 def test_constructor_matches_reference_on_benchmark_rows(monkeypatch, instance):
-    # the rows kernel_rows_at assembles at every representative state, under
-    # action 0 and under a random feasible action
+    # the rows kernel_rows_at materializes at every representative state,
+    # under action 0 and under a random feasible action
     from momentagg import benchmarks as B
     from momentagg.aggregation import build_scheme
     from momentagg.grid import build_grid
@@ -109,13 +109,13 @@ def test_constructor_matches_reference_on_benchmark_rows(monkeypatch, instance):
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(after, name), getattr(before, name))
 
-    monkeypatch.setattr(B, "RowStochasticMatrix", Capturing)
+    monkeypatch.setattr(chain, "RowStochasticMatrix", Capturing)
     rng = np.random.default_rng(17)
     for actions in (
         np.zeros(len(reps), dtype=np.int64),
         rng.integers(0, mdp.action_counts()[reps]),
     ):
-        mdp.kernel_rows_at(reps, actions)
+        mdp.kernel_rows_at(reps, actions).csr
     assert len(seen) == 2
     for got, expect in seen:
         _assert_same_csr(got, expect)
@@ -364,6 +364,37 @@ def test_row_kron_matches_dense_kron(case):
     assert M.shape == want.shape
     assert np.array_equal(M.toarray(), want)
     assert M.has_canonical_format and np.all(M.data != 0.0)
+
+
+def _stochastic(rng, n_rows, n_cols):
+    """A random row-stochastic array with zeros scattered in, one nonzero
+    per row at least."""
+    D = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.6)
+    D[np.arange(n_rows), rng.integers(0, n_cols, n_rows)] += 1.0
+    return D / D.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), axes=st.integers(1, 3), n=st.integers(1, 8))
+def test_kron_rows_match_their_materialized_rows(seed, axes, n):
+    # the factored rows apply, count and compose as the rows they form
+    rng = np.random.default_rng(seed)
+    factors, mats = [], []
+    for j in range(axes):
+        n_rows, n_cols = rng.integers(1, 5, 2)
+        F = _stochastic(rng, n_rows, n_cols)
+        factors.append(sparse.csr_matrix(F) if j % 2 else F)
+        mats.append(sparse.csr_matrix(_stochastic(rng, n_cols, rng.integers(1, 4))))
+    rows = [rng.integers(0, F.shape[0], n) for F in factors]
+    P = chain.KronRows(factors, rows)
+    M = P.csr
+    assert P.shape == M.shape and P.nnz == M.nnz
+    assert np.all(P.sizes() >= np.diff(M.indptr))
+    f = rng.random(M.shape[1])
+    assert_allclose(P.apply(f), M @ f, rtol=1e-13, atol=0)
+    G = functools.reduce(lambda a, b: sparse.kron(a, b, format="csr"), mats)
+    r = rng.random(G.shape[1])
+    assert_allclose(P.times(mats).apply(r), M @ (G @ r), rtol=1e-13, atol=0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,6 @@
 """Policy-iteration tests: exact PI against a dense oracle, the aggregated
-variant (against a full-rebuild oracle of its loop), greedy tie-breaking,
-and the residual / gap reports."""
+variant (its operator form against a full-rebuild oracle of its loop),
+greedy tie-breaking, and the residual / gap reports."""
 
 import dataclasses
 import tracemalloc
@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 import _oracles as orc
 import _post_oracles as po
 from _tabular import TabularMdp
-from momentagg import chain, control
+from momentagg import control
 from momentagg.benchmarks import (
     JointReplenishmentMdp,
     build_hospital,
@@ -36,8 +36,10 @@ from momentagg import (
     exact_policy_iteration,
     exact_value,
     induced_mrp,
+    mstep_scheme,
     optimality_gap_report,
 )
+from test_evaluation import _certified_error, _dense_oracle
 
 
 def _tabular(seed, lower, upper, **kw):
@@ -255,17 +257,17 @@ def test_jrp_solvers_same_with_per_state_greedy_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# incremental aggregate assembly against the full-rebuild loop
+# the aggregate operator against the full-rebuild loop
 # ---------------------------------------------------------------------------
 
 def _full_rebuild_api(mdp, scheme, policy0=None, max_iter=100):
-    """Aggregated PI with every iteration re-assembling all L kernel rows
-    and the whole PbarG product: the loop the incremental splice replaces.
+    """Aggregated PI with every iteration materializing all L kernel rows
+    and the sparse product PbarG: the loop the operator form replaces.
 
-    Returns the run's restricted policies and assembled (PbarG, c_bar) per
-    iteration, its last R, how it ended (``converged``, ``cycled`` or
-    ``capped``), the policy a report would carry, and on convergence the
-    full policy and lifted value.
+    Returns the run's restricted policies, assembled (PbarG, c_bar) and
+    representatives changed per iteration, its last R, how it ended
+    (``converged``, ``cycled`` or ``capped``), the policy a report would
+    carry, and on convergence the full policy and lifted value.
     """
     reps = np.asarray(scheme.grid.rep_indices)
     G = scheme.G
@@ -275,7 +277,7 @@ def _full_rebuild_api(mdp, scheme, policy0=None, max_iter=100):
         else np.asarray(policy0, dtype=np.int64)
     )
     seen = {policy_bar.tobytes()}
-    run = SimpleNamespace(policies=[], systems=[], R=None, iterations=0)
+    run = SimpleNamespace(policies=[], systems=[], reps_changed=[], R=None, iterations=0)
     for it in range(1, max_iter + 1):
         run.iterations = it
         run.policies.append(policy_bar)
@@ -285,6 +287,7 @@ def _full_rebuild_api(mdp, scheme, policy0=None, max_iter=100):
         run.R = control._solve_aggregate(PbarG, c_bar, mdp.discount)
         W = G.apply(run.R)
         new_bar, _ = control._greedy(mdp, reps, W)
+        run.reps_changed.append(int(np.count_nonzero(new_bar != policy_bar)))
         if np.array_equal(new_bar, policy_bar):
             run.outcome = "converged"
             run.policy, _ = control._greedy(mdp, np.arange(mdp.lattice.size), W)
@@ -305,27 +308,22 @@ def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _same_csr(A, B):
-    return all(_same_bytes(getattr(A, k), getattr(B, k)) for k in ("indptr", "indices", "data"))
-
-
 def _spied_api(monkeypatch, mdp, scheme, **kwargs):
     """Run aggregated PI, recording every ``kernel_rows_at`` call and every
-    (PbarG, c_bar) handed to the aggregate solve.
+    c_bar handed to the aggregate solve.
 
-    Returns (report or raised NumericalError, row calls, systems).  Each
-    call is (indices, actions, iteration), the iteration counted from 0 by
-    the systems solved before it.
+    Returns (report or raised NumericalError, row calls, c_bars).  Each call
+    is (indices, actions).
     """
-    calls, systems = [], []
+    calls, c_bars = [], []
     rows_at, solve = mdp.kernel_rows_at, control._solve_aggregate
 
     def spy_rows(indices, actions):
-        calls.append((np.array(indices), np.array(actions), len(systems)))
+        calls.append((np.array(indices), np.array(actions)))
         return rows_at(indices, actions)
 
     def spy_solve(PbarG, c_bar, alpha):
-        systems.append((PbarG, c_bar.copy()))
+        c_bars.append(c_bar.copy())
         return solve(PbarG, c_bar, alpha)
 
     monkeypatch.setattr(mdp, "kernel_rows_at", spy_rows, raising=False)
@@ -336,57 +334,44 @@ def _spied_api(monkeypatch, mdp, scheme, **kwargs):
         outcome = err
     finally:
         monkeypatch.undo()
-    return outcome, calls, systems
+    return outcome, calls, c_bars
 
 
 def _check_against_oracle(monkeypatch, mdp, scheme, oracle_mdp=None, **kwargs):
-    """The incremental run matches the full-rebuild oracle bit for bit:
-    result, every assembled system, and the rows it asked the model for.
-    The oracle runs on ``oracle_mdp`` when the model keeps state."""
+    """The operator run takes the full-rebuild oracle's path: the same
+    iterations, ``reps_changed``, restricted policies, costs and returned
+    policy, and an R within the certificate of the exact solution of the
+    oracle's last system.  The oracle runs on ``oracle_mdp`` when the
+    model keeps state."""
     oracle = _full_rebuild_api(oracle_mdp or mdp, scheme, **kwargs)
-    outcome, calls, systems = _spied_api(monkeypatch, mdp, scheme, **kwargs)
+    outcome, calls, c_bars = _spied_api(monkeypatch, mdp, scheme, **kwargs)
     reps = np.asarray(scheme.grid.rep_indices)
     if oracle.outcome == "converged":
         report = outcome
         assert _same_bytes(report.policy, oracle.policy)
-        assert _same_bytes(report.value, oracle.value)
     else:
         assert isinstance(outcome, NumericalError)
         report = outcome.report
         assert ("cycled" in str(outcome)) == (oracle.outcome == "cycled")
         assert _same_bytes(report.policy, oracle.policy)
-    assert _same_bytes(report.R, oracle.R)
     assert report.iterations == oracle.iterations
-    assert len(systems) == oracle.iterations
-    # the first iteration assembles all L rows, later ones only the changed
-    # reps, each in consecutive blocks of at most chain.BLOCK_NNZ kernel-row
-    # entries unless the block is one row
-    for k in range(oracle.iterations):
-        blocks = [(i, a) for i, a, it in calls if it == k]
-        assert blocks, k
-        for i, a in blocks:
-            assert len(i) == 1 or mdp.kernel_row_sizes(i, a).sum() <= chain.BLOCK_NNZ
-        which = np.arange(len(reps))
-        if k:
-            which = np.flatnonzero(oracle.policies[k] != oracle.policies[k - 1])
-        assert np.array_equal(np.concatenate([i for i, _ in blocks]), reps[which])
-        assert np.array_equal(np.concatenate([a for _, a in blocks]), oracle.policies[k][which])
-    # each spliced system is, array for array, a fresh full assembly
-    for (PbarG, c_bar), (PbarG_ref, c_bar_ref) in zip(systems, oracle.systems):
-        assert _same_csr(PbarG, PbarG_ref)
+    assert report.reps_changed == oracle.reps_changed
+    assert len(report.products) == oracle.iterations and min(report.products) > 0
+    # one call per iteration, at every representative, under its policy
+    assert len(calls) == oracle.iterations
+    for (i, a), policy_bar in zip(calls, oracle.policies):
+        assert np.array_equal(i, reps) and np.array_equal(a, policy_bar)
+    for c_bar, (_, c_bar_ref) in zip(c_bars, oracle.systems):
         assert _same_bytes(c_bar, c_bar_ref)
+    PbarG, c_bar = oracle.systems[-1]
+    bound = _certified_error(c_bar, mdp.discount)
+    R_star = _dense_oracle(PbarG, c_bar, mdp.discount)
+    assert np.max(np.abs(report.R - R_star)) <= bound
+    assert np.max(np.abs(oracle.R - R_star)) <= bound
+    if oracle.outcome == "converged":
+        # V~ = c + alpha P G R moves by at most alpha |dR|
+        assert np.max(np.abs(report.value - oracle.value)) <= 2 * bound
     return report, oracle
-
-
-def _set_block(monkeypatch, mdp, scheme, block):
-    """Set chain.BLOCK_NNZ for one run: unchanged, 1 (every row is a block
-    of its own), or a fifth of the first assembly's entries."""
-    if block == "one_row":
-        monkeypatch.setattr(chain, "BLOCK_NNZ", 1)
-    elif block == "mid":
-        reps = np.asarray(scheme.grid.rep_indices)
-        total = mdp.kernel_row_sizes(reps, np.zeros(len(reps), dtype=np.int64)).sum()
-        monkeypatch.setattr(chain, "BLOCK_NNZ", int(total) // 5)
 
 
 BUILDS = pytest.mark.parametrize(
@@ -397,19 +382,9 @@ BUILDS = pytest.mark.parametrize(
 
 
 @BUILDS
-def test_incremental_assembly_matches_full_rebuild(monkeypatch, build):
+def test_operator_api_matches_full_rebuild(monkeypatch, build):
     mdp = build()
     scheme = build_scheme(build_grid(mdp.lattice, 0.45))
-    _, oracle = _check_against_oracle(monkeypatch, mdp, scheme)
-    assert oracle.outcome == "converged" and oracle.iterations >= 3
-
-
-@BUILDS
-@pytest.mark.parametrize("block", ["one_row", "mid"])
-def test_blocked_assembly_matches_full_rebuild(monkeypatch, build, block):
-    mdp = build()
-    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
-    _set_block(monkeypatch, mdp, scheme, block)
     _, oracle = _check_against_oracle(monkeypatch, mdp, scheme)
     assert oracle.outcome == "converged" and oracle.iterations >= 3
 
@@ -420,47 +395,58 @@ def test_blocked_assembly_matches_full_rebuild(monkeypatch, build, block):
     n=st.integers(8, 40),
     n_actions=st.integers(2, 4),
     max_jump=st.integers(1, 3),
-    block=st.sampled_from(["default", "one_row", "mid"]),
 )
-def test_incremental_assembly_matches_full_rebuild_on_tabular(seed, n, n_actions, max_jump, block):
+def test_operator_api_matches_full_rebuild_on_tabular(seed, n, n_actions, max_jump):
     mdp, *_ = _tabular(seed, (0,), (n - 1,), n_actions=n_actions, max_jump=max_jump)
     scheme = build_scheme(build_grid(mdp.lattice, 0.45))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _set_block(monkeypatch, mdp, scheme, block)
         _check_against_oracle(monkeypatch, mdp, scheme)
 
 
-def test_reps_changed_counts_rebuilt_rows_on_hospital2(monkeypatch):
+def test_reps_changed_counts_rebuilt_rows_on_hospital2():
     mdp = build_hospital(hospital_2ward())
     scheme = build_scheme(build_grid(mdp.lattice, 0.45))
-    report, calls, _ = _spied_api(monkeypatch, mdp, scheme)
-    L = scheme.grid.size
+    report = aggregated_policy_iteration(mdp, scheme)
     assert len(report.reps_changed) == report.iterations
     assert report.reps_changed[-1] == 0 and min(report.reps_changed[:-1]) > 0
-    assert sum(len(idx) for idx, *_ in calls) == L + sum(report.reps_changed)
     assert exact_policy_iteration(mdp).reps_changed == []
 
 
-def test_first_assembly_memory_is_bounded_on_hospital3():
-    # the 1,000 representative kernel rows hold 10.4M entries; built at once
-    # they took 249 MiB, in blocks the transient is one block's rows
+def test_products_repeat_on_hospital2():
+    mdp = build_hospital(hospital_2ward())
+    scheme = build_scheme(build_grid(mdp.lattice, 0.45))
+    first = aggregated_policy_iteration(mdp, scheme)
+    again = aggregated_policy_iteration(build_hospital(hospital_2ward()), scheme)
+    assert len(first.products) == first.iterations and min(first.products) > 0
+    assert again.products == first.products
+    assert exact_policy_iteration(mdp).products == []
+
+
+def test_api_memory_is_bounded_on_hospital3():
+    # the 1,000 representative kernel rows hold 10.4M entries; the operator
+    # form builds none of them, and PbarG was 6 MiB of CSR
     mdp = build_hospital(hospital_3ward())
     scheme = build_scheme(build_grid(mdp.lattice, 0.45))
-    reps = np.asarray(scheme.grid.rep_indices)
-    L = len(reps)
-    policy_bar = np.zeros(L, dtype=np.int64)
     mdp.action_counts()  # the action table is built before tracing
     tracemalloc.start()
     try:
-        PbarG, _ = control._assemble_rows(mdp, scheme.G, reps, policy_bar, np.arange(L), None, None)
+        report = aggregated_policy_iteration(mdp, scheme)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mdp.kernel_row_sizes(reps, policy_bar).sum() > 20 * chain.BLOCK_NNZ
-    size = PbarG.data.nbytes + PbarG.indices.nbytes + PbarG.indptr.nbytes
-    # the block products and their stack, plus one block in flight
-    bound = 2 * size + 32 * chain.BLOCK_NNZ
-    assert peak <= bound, f"peak {peak} bytes against {bound}"
+    assert report.converged
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_aggregated_pi_rejects_a_non_product_scheme():
+    # an m-step scheme's G interpolates at E_y[X_1], not at y, so it is not
+    # the product of the per-axis factors the contraction uses
+    mdp = build_hospital(hospital_2ward())
+    grid = build_grid(mdp.lattice, 0.45)
+    mrp = induced_mrp(mdp, np.zeros(mdp.lattice.size, dtype=np.int64))
+    with pytest.raises(ValueError, match="product"):
+        aggregated_policy_iteration(mdp, mstep_scheme(mrp, grid, 2))
+    assert aggregated_policy_iteration(mdp, mstep_scheme(mrp, grid, 1)).converged
 
 
 def test_aggregated_pi_iteration_cap_reports_last_iterate(monkeypatch):
@@ -468,7 +454,7 @@ def test_aggregated_pi_iteration_cap_reports_last_iterate(monkeypatch):
     scheme = build_scheme(build_grid(mdp.lattice, 0.45))
     full = _full_rebuild_api(mdp, scheme)
     assert full.outcome == "converged" and full.iterations >= 3
-    cap = full.iterations - 1  # stops after at least one splice
+    cap = full.iterations - 1
     report, oracle = _check_against_oracle(monkeypatch, mdp, scheme, max_iter=cap)
     assert oracle.outcome == "capped"
     assert report.converged is False and report.iterations == cap
@@ -507,8 +493,6 @@ def test_aggregated_pi_cycle_reports_last_iterate(monkeypatch):
     assert oracle.outcome == "cycled" and oracle.iterations == 3
     assert report.converged is False
     assert _same_bytes(report.policy, A)
-    # the last R evaluates B, whose system was spliced from A's
-    assert _same_bytes(report.R, oracle.R)
     assert report.reps_changed == [(L + 1) // 2, L, L]
 
 

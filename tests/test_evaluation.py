@@ -181,9 +181,14 @@ def test_bound_check_accepts_precomputed_values():
 # ---------------------------------------------------------------------------
 
 def _dense_oracle(PbarG, c_bar, alpha):
-    """The aggregate solve on the densified matrix, by LAPACK."""
-    A = np.eye(PbarG.shape[0]) - alpha * PbarG.toarray()
-    return sla.solve(A, c_bar)
+    """The aggregate solve on the densified operand, by LAPACK; a callable
+    operand is densified column by column."""
+    L = len(c_bar)
+    if callable(PbarG):
+        M = np.column_stack([PbarG(e) for e in np.eye(L)])
+    else:
+        M = PbarG.toarray()
+    return sla.solve(np.eye(L) - alpha * M, c_bar)
 
 
 def _certified_error(c_bar, alpha):
@@ -211,10 +216,13 @@ def _aggregate_case(name):
     mdp = MODELS[name]()
     scheme = _scheme(mdp)
     reps = np.asarray(scheme.grid.rep_indices)
-    L = len(reps)
-    zero = np.zeros(L, dtype=np.int64)
-    PbarG, c_bar = control._assemble_rows(mdp, scheme.G, reps, zero, np.arange(L), None, None)
-    return PbarG, c_bar, mdp.discount
+    zero = np.zeros(len(reps), dtype=np.int64)
+    # 100 kernel rows at a time: hospital3's 1,000 hold 10.4M entries
+    PbarG = sparse.vstack([
+        mdp.kernel_rows_at(reps[s : s + 100], zero[s : s + 100]).csr @ scheme.G.csr
+        for s in range(0, len(reps), 100)
+    ], format="csr")
+    return PbarG, mdp.costs_at(reps, zero), mdp.discount
 
 
 # ``kind`` names how dense each PbarG is (jrp_small and the walk 1-2 %,

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import _post_oracles as po
+from momentagg import benchmarks
 from momentagg.benchmarks import (
     HospitalOverflowMdp,
     HospitalParams,
@@ -227,8 +228,9 @@ def test_greedy_threads_agree_and_table_built_once():
 
 
 def test_table_build_peak_is_bounded():
-    # hospital3's table holds 15.7 MB; its build once peaked at 4.7 times
-    # that (int64 expansion temporaries kept to the end), now under 2 times
+    # hospital3's table holds 5.6 MB (15.7 MB with int64 routes); its build
+    # once peaked at 4.7 times the latter (int64 expansion temporaries kept
+    # to the end), now under 2 times the former
     mdp = build_hospital(hospital_3ward())
     tracemalloc.start()
     try:
@@ -238,6 +240,44 @@ def test_table_build_peak_is_bounded():
         tracemalloc.stop()
     size = sum(arr.nbytes for arr in vars(table).values())
     assert peak <= 2.5 * size, f"peak {peak} bytes for a {size}-byte table"
+
+
+@pytest.mark.parametrize("make", [hospital_2ward, hospital_3ward])
+def test_routes_are_int8_and_decode_as_an_int64_build(make, monkeypatch):
+    # routes hold at most a cap of patients; the narrow table decodes to
+    # the same routing matrices, posts and costs as an int64 one
+    narrow = build_hospital(make()).table
+    assert narrow.routes.dtype == np.int8
+    monkeypatch.setattr(benchmarks, "_route_dtype", lambda caps: np.dtype(np.int64))
+    mdp = build_hospital(make())
+    wide = mdp.table
+    assert wide.routes.dtype == np.int64
+    assert np.array_equal(narrow.routes, wide.routes)
+    for name in ("indptr", "counts", "posts", "costs"):
+        a, b = getattr(narrow, name), getattr(wide, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    monkeypatch.undo()
+    ref = build_hospital(make())
+    for i in range(mdp.lattice.size):
+        for got, want in zip(ref._actions(i), mdp._actions(i)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_table_blocks_do_not_change_the_table_or_greedy(monkeypatch):
+    # costs and greedy sweeps work on blocks of table rows; blocks smaller
+    # than one state's actions give the same bytes as one block
+    one = build_hospital(hospital_2ward())
+    n = one.lattice.size
+    W = np.random.default_rng(25).integers(0, 4, n).astype(np.float64)  # ties
+    idx = np.arange(n)[::-1]
+    monkeypatch.setattr(benchmarks, "_TABLE_BLOCK", 1 << 30)
+    want_table, want = one.table, one.greedy_at(idx, W)
+    monkeypatch.setattr(benchmarks, "_TABLE_BLOCK", 3)
+    small = build_hospital(hospital_2ward())
+    for name, arr in vars(small.table).items():
+        assert arr.tobytes() == getattr(want_table, name).tobytes(), name
+    for got, ref in zip(small.greedy_at(idx, W), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_table_is_built_on_first_use():

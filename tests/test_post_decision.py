@@ -176,8 +176,8 @@ def test_kernel_rows_match_span_expansion(name, states):
     ],
 )
 def test_kernel_row_sizes_bound_every_row(name, states):
-    # the assembly splits rows into blocks by these sizes before building
-    # any, so each must be at least its row's nnz; it is the row's span
+    # induced refuses by these sizes before building any row, so each must
+    # be at least its row's nnz; it is the row's span
     mdp = MODELS[name]()
     if states == "reps":
         # a quarter of hospital3's representatives keeps the rows at 2.6M entries
@@ -187,9 +187,10 @@ def test_kernel_row_sizes_bound_every_row(name, states):
         idx = np.arange(mdp.lattice.size)
     rng = np.random.default_rng(47)
     for actions in (np.zeros(len(idx), dtype=np.int64), random_actions(rng, mdp, idx)):
-        sizes = mdp.kernel_row_sizes(idx, actions)
+        rows = mdp.kernel_rows_at(idx, actions)
+        sizes = rows.sizes()
         assert np.array_equal(sizes, _span_sizes(mdp, idx, actions))
-        assert np.all(sizes >= np.diff(mdp.kernel_rows_at(idx, actions).csr.indptr))
+        assert np.all(sizes >= np.diff(rows.csr.indptr))
 
 
 @pytest.mark.parametrize("name", ["hospital2", "jrp_small", "jrp_large"])
@@ -238,7 +239,7 @@ def test_induced_nnz_budget(build, fits, monkeypatch):
     policy = np.zeros(n, dtype=np.int64)
     entries = _span_entries(mdp, policy)
     assert (entries <= chain.NNZ_BUDGET) == fits
-    assert int(mdp.kernel_row_sizes(np.arange(n), policy).sum()) == entries
+    assert int(mdp.kernel_rows_at(np.arange(n), policy).sizes().sum()) == entries
     if fits:
         P, c = mdp.induced(policy)
         assert P.shape == (n, n) and 0 < P.nnz <= entries
@@ -281,7 +282,7 @@ def test_solvers_reach_no_loop_fallback(build):
     mdp = build()
     assert isinstance(mdp, PostDecisionMdp)
     for name in (
-        "action_counts", "greedy_at", "kernel_rows_at", "kernel_row_sizes", "costs_at",
+        "action_counts", "greedy_at", "kernel_rows_at", "costs_at",
         "induced", "induced_apply",
     ):
         assert not hasattr(ControlledMdp, name)
