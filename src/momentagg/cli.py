@@ -310,10 +310,15 @@ def _grid_payload(grid):
     }
 
 
+def _exact_pi(cfg, mdp):
+    """Exact PI for both modes; ``max_iter`` caps it no lower than 200."""
+    return exact_policy_iteration(mdp, tol=cfg.tol, max_iter=max(cfg.max_iter, 200))
+
+
 def _resolve_policy(cfg, mdp):
     """Policy for evaluate mode: exact-optimal, all-zeros, or from file."""
     if cfg.policy == "optimal":
-        report = exact_policy_iteration(mdp, tol=cfg.tol, max_iter=cfg.max_iter)
+        report = _exact_pi(cfg, mdp)
         return report.policy, report.value
     if cfg.policy == "zero":
         return np.zeros(mdp.lattice.size, dtype=np.int64), None
@@ -451,7 +456,7 @@ def _mode_optimize(cfg, out):
     exact_ms = None
     if cfg.baseline:
         t1 = time.perf_counter()
-        pi_report = exact_policy_iteration(mdp, tol=cfg.tol, max_iter=max(cfg.max_iter, 200))
+        pi_report = _exact_pi(cfg, mdp)
         exact_ms = (time.perf_counter() - t1) * 1000.0
         gaps = optimality_gap_report(pi_report.value, V_policy)
         mean_rel, max_rel = gaps.mean_rel, gaps.max_rel

@@ -13,14 +13,20 @@ Everything here minimizes discounted cost.  Two solvers are provided:
   form one aggregate product is one small contraction per axis with
   A_j = K_j G_j.
 
+Both run one loop, ``_policy_iteration``, which keeps the same record of
+every iteration and stops on a stable policy, a repeated policy or the
+iteration cap.
+
 Greedy ties always break toward the lowest action id, so results are
 reproducible across runs and thread counts.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -118,11 +124,12 @@ class PiReport:
     phase exists.  In aggregated PI, ``compute_P`` times the post-point and
     cost gathers at the representatives.
 
-    ``reps_changed`` holds, per iteration of aggregated PI, how many
-    representatives changed action in the improvement step; it ends in 0
-    when the run converged.  ``products`` holds, per iteration, the
-    operator products its aggregate solve made.  Exact PI leaves both
-    empty.
+    ``reps_changed`` holds, per iteration, how many improved states (all
+    states in exact PI, the representatives in aggregated PI) changed
+    action; it ends in 0 when the run converged.  ``products`` holds, per
+    iteration, the operator products its solve made.  ``bellman_sup`` is
+    max |q - V| over the improved states of the stable policy (V is R in
+    aggregated PI).
     """
 
     iterations: int
@@ -158,49 +165,83 @@ def _greedy(mdp, indices, W):
     return actions, qvals
 
 
+def _digest(policy):
+    """Fixed-size fingerprint of a policy, for the repeat check."""
+    return hashlib.blake2b(np.ascontiguousarray(policy)).digest()
+
+
+def _policy_iteration(mdp, indices, policy0, system, solve, lift, *, max_iter, name, solution):
+    """The policy-iteration loop both solvers run.
+
+    Starts from ``policy0`` (None: action 0 everywhere).  Per iteration:
+    ``system(policy)`` gives (operator, c), ``solve(operator, c, alpha)``
+    gives V, which the report keeps in its field named ``solution``, and
+    the policy is improved greedily at ``indices`` against W = ``lift(V)``.
+    When no action changes, sets ``bellman_sup`` = max |q - V| and returns
+    the report and W.  A repeated policy, recognized by a digest of each, or
+    ``max_iter`` iterations raise NumericalError carrying ``.report``.
+    """
+    policy = np.zeros(len(indices), dtype=np.int64) if policy0 is None else policy0
+    times = {"compute_P": [], "evaluation": [], "update": []}
+    report = PiReport(iterations=0, converged=False, policy=policy, timings_ms=times)
+    seen = {_digest(policy)}
+    message = f"{name} did not stabilize in {max_iter} iterations"
+    t_start = _now_ms()
+    for it in range(1, max_iter + 1):
+        report.iterations = it
+        t0 = _now_ms()
+        operator, c = system(policy)
+        t1 = _now_ms()
+        report.products.append(0)
+
+        def counted(v):
+            report.products[-1] += 1
+            return operator(v)
+
+        V = solve(counted, c, mdp.discount)
+        setattr(report, solution, V)
+        t2 = _now_ms()
+        W = lift(V)
+        policy, q = _greedy(mdp, indices, W)
+        t3 = _now_ms()
+        times["compute_P"].append(t1 - t0)
+        times["evaluation"].append(t2 - t1)
+        times["update"].append(t3 - t2)
+        report.reps_changed.append(int(np.count_nonzero(policy != report.policy)))
+        if report.reps_changed[-1] == 0:
+            report.converged = True
+            report.bellman_sup = float(np.max(np.abs(q - V)))
+            break
+        report.policy = policy
+        digest = _digest(policy)
+        if digest in seen:
+            message = f"{name} cycled without stabilizing"
+            break
+        seen.add(digest)
+    times["total"] = _now_ms() - t_start
+    if not report.converged:
+        err = NumericalError(message)
+        err.report = report
+        raise err
+    return report, W
+
+
 def exact_policy_iteration(mdp, policy0=None, *, tol=1e-10, max_iter=200):
     """Classical policy iteration to the exact optimum.
 
     Starts from ``policy0`` (default: action 0 everywhere), alternates
     exact evaluation and greedy improvement, and stops when the policy is
-    stable.  Raises NumericalError (carrying ``.report``) past ``max_iter``.
+    stable.  Raises NumericalError (carrying ``.report``) when a policy
+    repeats or past ``max_iter``.
     """
     n = mdp.lattice.size
-    policy = (
-        np.zeros(n, dtype=np.int64) if policy0 is None else _full_policy(mdp, policy0)
-    )
-    idx = np.arange(n)
-    times = {"compute_P": [], "evaluation": [], "update": []}
-    t_start = _now_ms()
-    V = None
-    for it in range(1, max_iter + 1):
-        t0 = _now_ms()
-        apply_P, c = mdp.induced_apply(policy)
-        t1 = _now_ms()
-        V = solve_discounted(apply_P, c, mdp.discount, tol=tol)
-        t2 = _now_ms()
-        new_policy, q = _greedy(mdp, idx, V)
-        t3 = _now_ms()
-        times["compute_P"].append(t1 - t0)
-        times["evaluation"].append(t2 - t1)
-        times["update"].append(t3 - t2)
-        if np.array_equal(new_policy, policy):
-            times["total"] = _now_ms() - t_start
-            return PiReport(
-                iterations=it,
-                converged=True,
-                policy=policy,
-                value=V,
-                bellman_sup=float(np.max(np.abs(q - V))),
-                timings_ms=times,
-            )
-        policy = new_policy
-    times["total"] = _now_ms() - t_start
-    err = NumericalError(f"policy iteration did not stabilize in {max_iter} iterations")
-    err.report = PiReport(
-        iterations=max_iter, converged=False, policy=policy, value=V, timings_ms=times
-    )
-    raise err
+    if policy0 is not None:
+        policy0 = _full_policy(mdp, policy0)
+    solve = partial(solve_discounted, tol=tol)
+    return _policy_iteration(
+        mdp, np.arange(n), policy0, mdp.induced_apply, solve, lambda V: V,
+        max_iter=max_iter, name="policy iteration", solution="value",
+    )[0]
 
 
 def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
@@ -218,100 +259,49 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
 
     Returns a PiReport whose ``value`` is V~ = c + alpha P (G R) under the
     returned policy and whose ``R`` is the final aggregate value.  Raises
-    ValueError for a scheme whose G is not a product of 1-D factors.
+    NumericalError (carrying ``.report``) when a restricted policy repeats
+    or past ``max_iter``, and ValueError for a scheme whose G is not a
+    product of 1-D factors.
     """
     reps = np.asarray(scheme.grid.rep_indices)
     L = len(reps)
-    if policy0 is None:
-        policy_bar = np.zeros(L, dtype=np.int64)
-    else:
-        policy_bar = np.asarray(policy0, dtype=np.int64)
-        if policy_bar.shape != (L,):
+    if policy0 is not None:
+        policy0 = np.asarray(policy0, dtype=np.int64)
+        if policy0.shape != (L,):
             raise ValueError(f"restricted policy must have length {L}")
-        mdp.check_actions(reps, policy_bar)
+        mdp.check_actions(reps, policy0)
     # the contraction assumes G = ⊗_j G_j, which an m-step scheme's is not
     grid, G_axes = scheme.grid, _axis_factors(scheme.grid)
     probe = np.random.default_rng(0).random(L)
     product = chain.contract(G_axes, probe.reshape(grid.shape)).ravel()
     if not np.allclose(scheme.G.apply(probe), product, rtol=0.0, atol=1e-12):
         raise ValueError("aggregated PI needs G = ⊗_j G_j, a product of 1-D factors")
-    alpha = mdp.discount
-    times = {"compute_P": [], "evaluation": [], "update": []}
-    reps_changed, products = [], []
-    t_start = _now_ms()
-    seen = {policy_bar.tobytes()}
-    A = PbarG = R = W = None
-    converged = cycled = False
-    iterations = 0
+    A = None
 
-    def apply_PbarG(v):
-        products[-1] += 1
-        return PbarG.apply(v)
-
-    for it in range(1, max_iter + 1):
-        iterations = it
-        t0 = _now_ms()
+    def system(policy_bar):
+        nonlocal A
         Pbar = mdp.kernel_rows_at(reps, policy_bar)
-        c_bar = mdp.costs_at(reps, policy_bar)
         if A is None:  # a model's row factors are the same at every call
             A = Pbar.times(G_axes).factors
-        PbarG = chain.KronRows(A, Pbar.rows)
-        t1 = _now_ms()
-        products.append(0)
-        R = _solve_aggregate(apply_PbarG, c_bar, alpha)
-        t2 = _now_ms()
-        W = scheme.G.apply(R)
-        new_bar, _ = _greedy(mdp, reps, W)
-        t3 = _now_ms()
-        times["compute_P"].append(t1 - t0)
-        times["evaluation"].append(t2 - t1)
-        times["update"].append(t3 - t2)
-        reps_changed.append(int(np.count_nonzero(new_bar != policy_bar)))
-        converged = reps_changed[-1] == 0
-        if converged:
-            break
-        cycled = new_bar.tobytes() in seen
-        seen.add(new_bar.tobytes())
-        policy_bar = new_bar
-        if cycled:
-            break
-    if not converged:
-        times["total"] = _now_ms() - t_start
-        err = NumericalError(
-            "restricted policy cycled without stabilizing"
-            if cycled
-            else f"aggregate policy iteration did not stabilize in {max_iter} iterations"
-        )
-        err.report = PiReport(
-            iterations=iterations,
-            converged=False,
-            policy=policy_bar,
-            R=R,
-            timings_ms=times,
-            reps_changed=reps_changed,
-            products=products,
-        )
-        raise err
+        return chain.KronRows(A, Pbar.rows).apply, mdp.costs_at(reps, policy_bar)
+
+    t_start = _now_ms()
+    report, W = _policy_iteration(
+        mdp, reps, policy0, system, _solve_aggregate, scheme.G.apply,
+        max_iter=max_iter, name="aggregate policy iteration", solution="R",
+    )
+    times = report.timings_ms
     # full update: one greedy sweep over every state against W = G R
     t0 = _now_ms()
-    policy_full, _ = _greedy(mdp, np.arange(mdp.lattice.size), W)
+    report.policy, _ = _greedy(mdp, np.arange(mdp.lattice.size), W)
     times["full_update"] = _now_ms() - t0
     # one-step value of the full policy against the interpolated R
     t0 = _now_ms()
-    apply_P, c = mdp.induced_apply(policy_full)
-    V_tilde = c + alpha * apply_P(W)
+    apply_P, c = mdp.induced_apply(report.policy)
+    report.value = c + mdp.discount * apply_P(W)
     times["lift"] = _now_ms() - t0
     times["total"] = _now_ms() - t_start
-    return PiReport(
-        iterations=iterations,
-        converged=True,
-        policy=policy_full,
-        value=V_tilde,
-        R=R,
-        timings_ms=times,
-        reps_changed=reps_changed,
-        products=products,
-    )
+    return report
 
 
 @dataclass(frozen=True)

@@ -447,6 +447,21 @@ def test_evaluate_rejects_bad_policy_file(tmp_path, capsys, entry, message):
     assert main(["--config", ini]) == 0
 
 
+def test_evaluate_optimal_policy_ignores_a_small_iteration_cap(tmp_path):
+    # exact PI needs 3 iterations on hospital2; max_iter caps aggregated PI,
+    # and exact PI gets at least 200 in evaluate as in optimize's baseline
+    written = []
+    for run_name, solver in (("default", ""), ("capped", "[solver]\nmax_iter = 2\n")):
+        out = tmp_path / run_name
+        ini = _write_ini(
+            tmp_path / f"{run_name}.ini",
+            f"[problem]\nname = hospital2\nmode = evaluate\n{solver}[output]\ndir = {out}\n",
+        )
+        assert main(["--config", ini]) == 0
+        written.append((out / "values.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_evaluate_rejects_unreadable_policy_file(tmp_path, capsys):
     path = tmp_path / "policy.npy"
     ini = _write_ini(

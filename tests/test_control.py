@@ -174,11 +174,41 @@ def test_exact_pi_near_unit_discount_stays_within_a_product_budget(monkeypatch):
     assert report.converged
 
 
-def test_pi_timings_recorded():
+@pytest.mark.parametrize(
+    "solve",
+    [
+        exact_policy_iteration,
+        lambda mdp: aggregated_policy_iteration(
+            mdp, build_scheme(build_grid(mdp.lattice, 0.45))
+        ),
+    ],
+    ids=["exact", "aggregated"],
+)
+def test_pi_timings_recorded(solve):
+    # both solvers run one loop, so both keep the same per-iteration record
     mdp, *_ = _tabular(7, (0,), (8,), n_actions=2)
-    report = exact_policy_iteration(mdp)
-    assert {"evaluation", "update", "total"} <= set(report.timings_ms)
-    assert len(report.timings_ms["update"]) == report.iterations
+    report = solve(mdp)
+    assert {"compute_P", "evaluation", "update", "total"} <= set(report.timings_ms)
+    for phase in ("compute_P", "evaluation", "update"):
+        assert len(report.timings_ms[phase]) == report.iterations
+    assert len(report.reps_changed) == len(report.products) == report.iterations
+    assert report.reps_changed[-1] == 0 and min(report.products) > 0
+    assert np.isfinite(report.bellman_sup)
+
+
+def test_exact_pi_memory_is_bounded_on_hospital3():
+    # the repeat check keeps a digest of each 15,625-state policy, not the
+    # policy: holding all five (122 KiB each) peaks at 3.65 MiB
+    mdp = build_hospital(hospital_3ward())
+    mdp.action_counts()  # the action table is built before tracing
+    tracemalloc.start()
+    try:
+        report = exact_policy_iteration(mdp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +439,8 @@ def test_reps_changed_counts_rebuilt_rows_on_hospital2():
     report = aggregated_policy_iteration(mdp, scheme)
     assert len(report.reps_changed) == report.iterations
     assert report.reps_changed[-1] == 0 and min(report.reps_changed[:-1]) > 0
-    assert exact_policy_iteration(mdp).reps_changed == []
+    # exact PI counts the changed actions over all 1,849 states
+    assert exact_policy_iteration(mdp).reps_changed == [598, 297, 0]
 
 
 def test_products_repeat_on_hospital2():
@@ -419,7 +450,9 @@ def test_products_repeat_on_hospital2():
     again = aggregated_policy_iteration(build_hospital(hospital_2ward()), scheme)
     assert len(first.products) == first.iterations and min(first.products) > 0
     assert again.products == first.products
-    assert exact_policy_iteration(mdp).products == []
+    exact = exact_policy_iteration(mdp)
+    assert len(exact.products) == exact.iterations and min(exact.products) > 0
+    assert exact_policy_iteration(build_hospital(hospital_2ward())).products == exact.products
 
 
 def test_api_memory_is_bounded_on_hospital3():
@@ -463,8 +496,8 @@ def test_aggregated_pi_iteration_cap_reports_last_iterate(monkeypatch):
 
 
 class _AlternatingMdp(TabularMdp):
-    """A model whose greedy step at the representatives alternates between
-    two fixed restricted policies, so aggregated PI cycles."""
+    """A model whose greedy step alternates between two fixed policies (at
+    the representatives, or at every state), so policy iteration cycles."""
 
     def __init__(self, *args, alternate):
         super().__init__(*args)
@@ -494,6 +527,23 @@ def test_aggregated_pi_cycle_reports_last_iterate(monkeypatch):
     assert report.converged is False
     assert _same_bytes(report.policy, A)
     assert report.reps_changed == [(L + 1) // 2, L, L]
+
+
+def test_exact_pi_cycle_reports_last_iterate():
+    base, *_ = _tabular(19, (0,), (40,), n_actions=2)
+    N = base.lattice.size
+    A = (np.arange(N) % 2 == 0).astype(np.int64)
+    B = 1 - A
+    mdp = _AlternatingMdp(base.lattice, base.kernels, base.costs, base.discount, alternate=(A, B))
+    with pytest.raises(NumericalError, match="cycled") as err:
+        exact_policy_iteration(mdp)
+    report = err.value.report
+    assert report.converged is False and report.iterations == 3
+    # the repeated policy, and the value of the last policy evaluated
+    assert _same_bytes(report.policy, A)
+    assert_allclose(report.value, exact_value(induced_mrp(base, B)), rtol=1e-8)
+    assert report.reps_changed == [(N + 1) // 2, N, N]
+    assert len(report.products) == 3 and min(report.products) > 0
 
 
 # ---------------------------------------------------------------------------
