@@ -5,18 +5,21 @@ A process is the tuple ``<lattice, P, c, alpha>`` whose value function
 solves ``(I - alpha P) V = c``.  Every discounted system, full-size or
 the L x L aggregate one, is solved iteratively (Bi-CGSTAB, then
 Richardson iteration if needed), and every solve is certified by its
-infinity-norm residual and the a-priori bound on the value.
+infinity-norm residual and the a-priori bound on the value.  Both stages
+are one loop here over six n-vectors allocated once per solve and
+updated in place by BLAS level-1 calls; the only other n-vector a step
+makes is the product P v.
 """
 
 from __future__ import annotations
 
-import inspect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as spla
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .lattice import StateLattice
 
@@ -99,7 +102,11 @@ class RowStochasticMatrix:
         lowest = float(M.data.min()) if M.nnz else 1.0
         if lowest < 0.0:
             raise ValueError("negative transition probability")
-        sums = np.asarray(M.sum(axis=1)).ravel()
+        if not np.diff(M.indptr).all():
+            raise ValueError("rows must sum to 1 (a row is empty)")
+        # one pass over the entries, segment by segment as scipy's sum does;
+        # reduceat would read an empty segment as its next entry
+        sums = np.add.reduceat(M.data, M.indptr[:-1])
         if np.any(np.abs(sums - 1.0) > ROWSUM_TOL):
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValueError(f"rows must sum to 1 (worst deviation {worst:.3e})")
@@ -110,7 +117,8 @@ class RowStochasticMatrix:
             indptr = indptr - np.searchsorted(np.flatnonzero(~keep), indptr)
             M = sparse.csr_matrix((data[keep], indices[keep], indptr), shape=M.shape)
             data, indices, indptr = M.data, M.indices, M.indptr
-            sums = np.asarray(M.sum(axis=1)).ravel()
+            # no row empties: a row summing to about one keeps its largest entry
+            sums = np.add.reduceat(data, indptr[:-1])
             shared = False
         # renormalize exactly (post-drop sums are within n*1e-15 of one)
         scale = np.repeat(1.0 / sums, np.diff(indptr))
@@ -373,15 +381,68 @@ def _apply_of(P):
     return (lambda v: m @ v), m.shape[0]
 
 
-_KRYLOV_TOL_KW = (
-    "rtol" if "rtol" in inspect.signature(spla.bicgstab).parameters else "tol"
-)
+#: Bi-CGSTAB's breakdown threshold on |rho| and |omega| (scipy's and the
+#: original Fortran's: eps squared)
+BREAKDOWN = np.finfo(np.float64).eps ** 2
 
 
-def _krylov(A, b, x0, atol):
-    kwargs = {_KRYLOV_TOL_KW: 1e-14, "atol": atol, "maxiter": KRYLOV_MAXITER}
+def _product(apply_P, u, base, a, out):
+    """``out = base + a P u`` in place; returns the array holding it."""
+    Pu = apply_P(u)
+    if np.shape(Pu) != out.shape:
+        raise ValueError(f"operator returned shape {np.shape(Pu)} for length {len(out)}")
+    out[:] = base
+    return daxpy(Pu, out, a=a)  # f2py hands back a copy of a nonconforming out
+
+
+def _krylov(apply_P, alpha, b, x, atol, work):
+    """Unpreconditioned Bi-CGSTAB (van der Vorst 1992; Barrett et al. 1994,
+    §2.3.8) for ``(I - alpha P) x = b``, from ``x`` and in place.
+
+    ``work`` holds five n-vectors, used as r, r^, p, v and t (s shares r's).
+    It stops as scipy's ``bicgstab`` does: once ``||r||_2 < atol``, on a
+    breakdown (|rho| or |omega| under ``BREAKDOWN``, or r^ orthogonal to
+    v), or after ``KRYLOV_MAXITER`` iterations, and returns the iterate.
+    Returns None if the arithmetic or the operator raises an
+    ArithmeticError or a ValueError; any other exception propagates.
+    """
+    r, rhat, p, v, t = work
+
+    def norm(u):
+        return math.sqrt(ddot(u, u))
+
     try:
-        x, _ = spla.bicgstab(A, b, x0=x0, **kwargs)
+        r = _product(apply_P, x, b, alpha, r)
+        r = daxpy(x, r, a=-1.0)  # r = b - (x - alpha P x)
+        rhat[:] = r
+        for it in range(KRYLOV_MAXITER):
+            if norm(r) < atol:
+                return x
+            rho = ddot(rhat, r)
+            if abs(rho) < BREAKDOWN:
+                return x
+            if it == 0:
+                p[:] = r
+            else:
+                if abs(omega) < BREAKDOWN:
+                    return x
+                p = daxpy(v, p, a=-omega)
+                p = dscal((rho / rho_prev) * (step / omega), p)
+                p = daxpy(r, p)
+            v = _product(apply_P, p, p, -alpha, v)
+            rv = ddot(rhat, v)
+            if rv == 0.0:
+                return x
+            step = rho / rv
+            r = daxpy(v, r, a=-step)  # r now holds s
+            if norm(r) < atol:
+                return daxpy(p, x, a=step)
+            t = _product(apply_P, r, r, -alpha, t)
+            omega = ddot(t, r) / ddot(t, t)  # t = 0 raises ZeroDivisionError
+            x = daxpy(p, x, a=step)
+            x = daxpy(r, x, a=omega)
+            r = daxpy(t, r, a=-omega)
+            rho_prev = rho
     except (ArithmeticError, ValueError):  # np.linalg.LinAlgError is a ValueError
         return None
     return x
@@ -396,7 +457,7 @@ def solve_discounted(P, c, alpha, *, tol=1e-10):
     ----------
     P : RowStochasticMatrix, scipy sparse matrix, dense array, or callable
         Nonnegative with row sums at most one.  In callable form, ``P(v)``
-        must return the matrix-vector product.
+        must return the matrix-vector product, of the shape of ``v``.
     c : (n,) cost vector
     alpha : discount in (0, 1)
     tol : positive; V is returned only if ``||c + alpha P V - V||_inf <=
@@ -413,7 +474,7 @@ def solve_discounted(P, c, alpha, *, tol=1e-10):
         raise ValueError("discount must lie in (0, 1)")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    c = np.asarray(c, dtype=np.float64)
+    c = np.ascontiguousarray(c, dtype=np.float64)
     apply_P, n = _apply_of(P)
     n = c.shape[0] if n is None else n
     if c.shape != (n,):
@@ -421,26 +482,34 @@ def solve_discounted(P, c, alpha, *, tol=1e-10):
 
     c_max = float(np.max(np.abs(c)))
     target = tol * (1.0 + c_max)
+    # the n-vectors of both stages and of the certificate, allocated once
+    work = [np.empty(n) for _ in range(5)]
 
     def residual(V):
-        return float(np.max(np.abs(c + alpha * apply_P(V) - V)))
+        d = _product(apply_P, V, c, alpha, work[1])
+        d -= V
+        return float(np.max(np.abs(d, out=d)))
 
-    op = spla.LinearOperator((n, n), matvec=lambda v: v - alpha * apply_P(v))
-    x0 = c / (1.0 - alpha)  # exact for constant cost, decent otherwise
-    V = _krylov(op, c, x0, 0.25 * target)
+    # scipy's bicgstab stop rule, at a quarter of the target
+    atol = max(0.25 * target, 1e-14 * math.sqrt(ddot(c, c)))
+    V = _krylov(apply_P, alpha, c, c / (1.0 - alpha), atol, work)
     r = np.inf if V is None else residual(V)
     if not r <= target:
+        # the start is exact for constant cost, decent otherwise
+        x0 = np.divide(c, 1.0 - alpha, out=work[0])
         r0 = residual(x0)
         if not r < r0:  # also when the iterate is NaN
             V, r = x0, r0
         # residuals shrink by alpha per step when P is as documented
         steps = min(np.ceil(np.log(target / r) / np.log(alpha)) + 50, 2_000_000)
+        W, d = work[2], work[1]
         for _ in range(int(steps)):
-            W = c + alpha * apply_P(V)
-            r = float(np.max(np.abs(W - V)))  # V's residual
+            W = _product(apply_P, V, c, alpha, W)
+            np.subtract(W, V, out=d)
+            r = float(np.max(np.abs(d, out=d)))  # V's residual
             if r <= target:
                 break
-            V = W
+            V, W = W, V
 
     # the bound is taken at the target: at the residual, rounding could put
     # an exact V an ulp past it

@@ -5,6 +5,8 @@ series, brute-force row convolutions) rather than from the package.
 """
 
 import functools
+import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.sparse import linalg as spla
 
 import _oracles as orc
 import _post_oracles as po
@@ -33,9 +36,12 @@ from momentagg import (
 from momentagg import build_grid, build_scheme, chain, lifted_chain
 from momentagg.benchmarks import (
     build_hospital,
+    build_jrp,
+    build_reflecting_rw,
     build_simple_rw,
     build_two_point_chain,
     hospital_2ward,
+    jrp_small,
 )
 from momentagg.chain import PROB_DROP, ROWSUM_TOL
 
@@ -180,6 +186,22 @@ def test_matrix_rejects_negative_mass():
 def test_matrix_rejects_bad_row_sum():
     with pytest.raises(ValueError, match="sum to 1"):
         RowStochasticMatrix([[0.6, 0.3], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("form", ["csr", "dense"])
+def test_matrix_rejects_empty_row(form):
+    # row 1 holds no entry; the row sums must not read row 2's mass for it
+    M = sparse.csr_matrix(([1.0, 1.0], ([0, 2], [0, 1])), shape=(3, 2))
+    with pytest.raises(ValueError, match="empty"):
+        RowStochasticMatrix(M if form == "csr" else M.toarray())
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 5)])
+def test_matrix_rejects_all_zero(shape):
+    with pytest.raises(ValueError, match="sum to 1"):
+        RowStochasticMatrix(sparse.csr_matrix(shape))
+    with pytest.raises(ValueError, match="sum to 1"):
+        RowStochasticMatrix(np.zeros(shape))
 
 
 def test_tiny_entries_dropped_and_renormalized():
@@ -504,18 +526,122 @@ def test_inconsistent_system_raises_instead_of_a_huge_value(L):
 def test_solve_discounted_propagates_operator_bugs():
     # a faulty operator is a bug, not a numerical failure: it must surface
     # from the first product instead of being retried by later solver stages
-    # (scipy probes the operator's dtype with a zero vector first)
     calls = []
 
     def broken(v):
-        if not np.any(v):
-            return v
         calls.append(1)
         raise IndexError("index 5 is out of bounds")
 
     with pytest.raises(IndexError):
         solve_discounted(broken, np.ones(5), 0.9)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape", [(4,), (6,), (5, 1)])
+def test_solve_discounted_refuses_a_misshapen_product(shape):
+    # a product of the wrong shape would be truncated or broadcast silently
+    with pytest.raises(ValueError, match="operator returned shape"):
+        solve_discounted(lambda v: np.zeros(shape), np.ones(5), 0.9)
+
+
+def _scipy_bicgstab(apply_P, c, alpha, atol):
+    """scipy's ``bicgstab`` on I - alpha P from c / (1 - alpha): the slow
+    path ``chain._krylov`` replaced, kept as its oracle."""
+    n = len(c)
+    A = spla.LinearOperator((n, n), matvec=lambda v: v - alpha * apply_P(v), dtype=np.float64)
+    kw = "rtol" if "rtol" in inspect.signature(spla.bicgstab).parameters else "tol"
+    x, _ = spla.bicgstab(A, c, x0=c / (1.0 - alpha), atol=atol,
+                         maxiter=chain.KRYLOV_MAXITER, **{kw: 1e-14})
+    return x
+
+
+def _assert_krylov_matches_scipy(apply_P, c, alpha, tol=1e-10):
+    """Under solve_discounted's stop rule, chain._krylov's iterate lies
+    within 1e-12 |V|_inf of scipy's and takes as many iterations, +-1."""
+    n = len(c)
+    atol = max(0.25 * tol * (1.0 + np.max(np.abs(c))), 1e-14 * np.linalg.norm(c))
+    products = [0, 0]
+
+    def counted(side):
+        def apply(v):
+            products[side] += 1
+            return apply_P(v)
+        return apply
+
+    got = chain._krylov(counted(0), alpha, c, c / (1.0 - alpha), atol,
+                        [np.empty(n) for _ in range(5)])
+    expect = _scipy_bicgstab(counted(1), c, alpha, atol)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+    # one product for the start's residual, then two per iteration, the
+    # last perhaps stopping after its first
+    its = [k // 2 for k in products]
+    assert abs(its[0] - its[1]) <= 1, products
+
+
+def _induced(build, config):
+    mdp = build(config())
+    policy = np.random.default_rng(4).integers(0, mdp.action_counts())
+    apply_P, c = mdp.induced_apply(policy)
+    return apply_P, c, mdp.discount
+
+
+@pytest.mark.parametrize("case", ["reflecting_rw", "jrp_small", "hospital2"])
+def test_krylov_matches_scipy_bicgstab(case):
+    if case == "reflecting_rw":
+        mrp = build_reflecting_rw(2000, 3)
+        apply_P, c, alpha = mrp.P.csr.__matmul__, mrp.cost, mrp.discount
+    elif case == "jrp_small":
+        apply_P, c, alpha = _induced(build_jrp, jrp_small)
+    else:
+        apply_P, c, alpha = _induced(build_hospital, hospital_2ward)
+    _assert_krylov_matches_scipy(apply_P, c, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.floats(0.05, 1.0),
+    st.floats(0.1, 0.999),
+    st.integers(0, 2**32 - 1),
+)
+def test_krylov_matches_scipy_on_substochastic_chains(n, density, alpha, seed):
+    rng = np.random.default_rng(seed)
+    M = sparse.random(n, n, density=density, random_state=rng, format="csr")
+    sums = np.asarray(M.sum(axis=1)).ravel()
+    sums[sums == 0.0] = 1.0
+    # row sums drawn in [0, 1]
+    M = sparse.csr_matrix(sparse.diags(rng.random(n) / sums) @ M)
+    _assert_krylov_matches_scipy(M.__matmul__, rng.uniform(0.0, 10.0, n), alpha)
+
+
+def test_solve_memory_is_six_vectors_and_a_product():
+    # x, r, r^, p, v, t and P's product; scipy's bicgstab behind a
+    # LinearOperator peaked at ten n-vectors
+    mrp = build_reflecting_rw(200_000, 0)
+    n = mrp.lattice.size
+    tracemalloc.start()
+    try:
+        solve_discounted(mrp.P, mrp.cost, mrp.discount)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-vectors"
+
+
+def test_exact_start_costs_two_products():
+    # constant cost on a stochastic P: c / (1 - alpha) solves the system, so
+    # the solve forms only the start's residual and the certificate's
+    P, _ = orc.random_dense_chain(21, 60)
+    P = sparse.csr_matrix(P)
+    products = []
+
+    def counted(v):
+        products.append(1)
+        return P @ v
+
+    V = solve_discounted(counted, np.full(60, 3.0), 0.9)
+    assert_allclose(V, 30.0, rtol=1e-13)
+    assert len(products) == 2
 
 
 # ---------------------------------------------------------------------------
