@@ -19,6 +19,7 @@ Core entry points:
 from . import benchmarks, cli
 from .aggregation import (
     AggregationScheme,
+    ProductScheme,
     SecondMomentReport,
     build_G,
     build_scheme,
@@ -97,6 +98,7 @@ __all__ = [
     "build_U",
     "meta_count_bound",
     "AggregationScheme",
+    "ProductScheme",
     "SecondMomentReport",
     "weights",
     "build_G",

@@ -8,6 +8,12 @@ of its smallest enclosing grid box, with multilinear weights
 so that sum_l g_{y,l} x_l = y exactly.  Stacking the rows gives the N x L
 aggregation matrix G; together with the binary selector U it defines the
 sister chain P~ = P G U, which shares every local first moment with P.
+
+On a box G is the Kronecker product ⊗_j G_j of 1-D interpolation factors.
+``build_scheme`` says so by returning a ``ProductScheme``, whose
+``axis_factors()`` forms the G_j on request; an m-step scheme (m >= 2),
+or one assembled by hand, states no such form.  ``SisterChain.apply`` is
+the one place P G U is applied to a function.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .grid import CoarseGrid, build_U
 
 __all__ = [
     "AggregationScheme",
+    "ProductScheme",
     "SecondMomentReport",
     "weights",
     "build_G",
@@ -125,20 +132,37 @@ class AggregationScheme:
         if self.G.shape != (N, L):
             raise ValueError(f"G must be {N}x{L}, got {self.G.shape}")
 
+    def axis_factors(self):
+        """The 1-D factors of G = ⊗_j G_j, or None: only a scheme built
+        as a product states that form."""
+        return None
+
+
+class ProductScheme(AggregationScheme):
+    """A scheme whose G is ``build_G(grid)``, the Kronecker product of its
+    1-D factors; ``axis_factors`` forms them on each call rather than
+    keeping them beside G."""
+
+    def axis_factors(self):
+        return _axis_factors(self.grid)
+
 
 def build_scheme(grid):
-    """Bundle U and G for a coarse grid."""
-    return AggregationScheme(grid=grid, U=build_U(grid), G=build_G(grid))
+    """Bundle U and G = ⊗_j G_j for a coarse grid."""
+    return ProductScheme(grid=grid, U=build_U(grid), G=build_G(grid))
 
 
 def mstep_scheme(mrp, grid, m, *, clamp=False):
     """Scheme whose G matches the first moment at time m-1.
 
     Row y interpolates at E_y[X_{m-1}], so the lifted chain's one step
-    reproduces the first moment of m steps of P.
+    reproduces the first moment of m steps of P.  At m = 1 the targets are
+    the lattice states themselves, and the scheme is ``build_scheme(grid)``.
     """
     if m < 1 or m != int(m):
         raise ValueError("m must be an integer >= 1")
+    if m == 1:
+        return build_scheme(grid)
     targets = mrp.lattice.all_states().astype(np.float64)
     for _ in range(int(m) - 1):
         targets = mrp.P.apply(targets)
@@ -249,10 +273,7 @@ def second_moment_gap(sister, *, exponent=None):
     states = lattice.all_states().astype(np.float64)
     n, d = states.shape
     W2 = (states[:, :, None] * states[:, None, :]).reshape(n, d * d)
-    # PG applied to the rep-state outer products, without forming PG
-    rep_W2 = W2[grid.rep_indices]
-    lifted = sister.base.P.apply(sister.scheme.G.apply(rep_W2))
-    mismatch = np.linalg.norm(lifted - sister.base.P.apply(W2), axis=1)
+    mismatch = np.linalg.norm(sister.apply(W2) - sister.base.P.apply(W2), axis=1)
     delta = max_jump(sister.base)
     norms = np.linalg.norm(states, axis=1)
     normalized = mismatch / (1.0 + norms + delta) ** exponent

@@ -81,8 +81,7 @@ class RunConfig:
     instance_file: str | None = None
     size: int | None = None  # walk length for the random-walk problems
     grid_source: str = "auto"  # auto | spaced | endpoints
-    baseline: bool = True  # optimize: exact-PI reference
-    exact: bool = True  # evaluate: solve the full system too
+    baseline: bool = True  # exact reference: exact PI (optimize), full solve (evaluate)
     lower: tuple | None = None  # problem=box
     upper: tuple | None = None
 
@@ -167,7 +166,6 @@ SETTINGS = {
     "size": ("problem", "n", _optional(int)),
     "grid_source": ("problem", "grid", str),
     "baseline": ("problem", "baseline", _parse_bool),
-    "exact": ("problem", "exact", _parse_bool),
     "lower": ("problem", "lower", _optional(_parse_int_tuple)),
     "upper": ("problem", "upper", _optional(_parse_int_tuple)),
 }
@@ -415,7 +413,7 @@ def _mode_evaluate(cfg, out):
     report = evaluate(
         mrp,
         scheme,
-        compute_exact=cfg.exact and V_star is None,
+        compute_exact=cfg.baseline and V_star is None,
         V_exact=V_star,
         tol=cfg.tol,
     )
@@ -495,18 +493,27 @@ def _mode_optimize(cfg, out):
 
 def _diagnostics(cfg, mrp, scheme):
     checks = {}
-    gap = first_moment_gap(lifted_chain(mrp, scheme))
+    sister = lifted_chain(mrp, scheme)
+    gap = first_moment_gap(sister)
     checks["first_moment_gap"] = {
         "value": gap,
         "threshold": 1e-9,
         "pass": bool(gap <= 1e-9),
     }
-    second = second_moment_gap(lifted_chain(mrp, scheme))
-    checks["second_moment"] = {
-        "sup": second.sup,
-        "sup_normalized": second.sup_normalized,
-        "normalization_exponent": second.normalization_exponent,
-    }
+    if scheme.grid.spacing_exponent is None:  # explicit axes: the raw sup only
+        checks["second_moment"] = {
+            "sup": second_moment_gap(sister, exponent=0.0).sup,
+            "sup_normalized": None,
+            "normalization_exponent": None,
+            "skipped": "grid has no spacing exponent to normalize by",
+        }
+    else:
+        second = second_moment_gap(sister)
+        checks["second_moment"] = {
+            "sup": second.sup,
+            "sup_normalized": second.sup_normalized,
+            "normalization_exponent": second.normalization_exponent,
+        }
     bound = interpolation_bound_check(mrp, scheme, tol=cfg.tol)
     checks["interpolation_bound"] = {
         "lhs": bound.lhs,

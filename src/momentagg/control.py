@@ -8,31 +8,32 @@ Everything here minimizes discounted cost.  Two solvers are provided:
   aggregate system (by ``evaluation._solve``: the same
   ``solve_discounted`` as exact PI, certified at 1e-10) and improves the
   policy only at representative states, then a single full sweep extends
-  the final policy to every state.  P̄G is never formed: G is a Kronecker
-  product of 1-D factors G_j, so with the model's kernel rows in factored
-  form one aggregate product is one small contraction per axis with
-  A_j = K_j G_j.
+  the final policy to every state.  P̄G is never formed: the scheme states
+  G = ⊗_j G_j and supplies the 1-D factors G_j, so with the model's kernel
+  rows in factored form one aggregate product is one small contraction per
+  axis with A_j = K_j G_j.
 
 Both run one loop, ``_policy_iteration``, which keeps the same record of
 every iteration and stops on a stable policy, a repeated policy or the
 iteration cap.
 
-Greedy ties always break toward the lowest action id, so results are
-reproducible across runs and thread counts.
+Every greedy step goes through ``_greedy``, which splits the states into
+``threads`` contiguous chunks, one ``greedy_at`` call each.  Greedy ties
+always break toward the lowest action id, so results are reproducible
+across runs and thread counts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import chain
-from .aggregation import _axis_factors
-from ._parallel import run_chunked
 from .chain import MarkovRewardProcess, NumericalError, solve_discounted
 from .evaluation import VALUE_FLOOR, GapReport, optimality_gap_report
 from .evaluation import _solve as _solve_aggregate
@@ -148,21 +149,17 @@ def _now_ms():
 
 
 def _greedy(mdp, indices, W):
-    """Greedy sweep, chunked over ``mdp.threads`` workers.
-
-    Chunks are contiguous index ranges reassembled in order, so the result
-    does not depend on the thread count.
-    """
+    """``mdp.greedy_at(indices, W)`` split into ``mdp.threads`` contiguous
+    chunks, one call each on its own worker, joined in order, so the result
+    does not depend on the thread count.  Under 64 states it is one call."""
     indices = np.asarray(indices)
     threads = getattr(mdp, "threads", 1)
     if threads <= 1 or len(indices) < 64:
         return mdp.greedy_at(indices, W)
-    parts = run_chunked(
-        lambda s, t: mdp.greedy_at(indices[s:t], W), len(indices), threads
-    )
-    actions = np.concatenate([p[0] for p in parts])
-    qvals = np.concatenate([p[1] for p in parts])
-    return actions, qvals
+    chunks = np.array_split(indices, min(threads, len(indices)))
+    with ThreadPoolExecutor(len(chunks)) as pool:
+        parts = list(pool.map(lambda chunk: mdp.greedy_at(chunk, W), chunks))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _digest(policy):
@@ -260,8 +257,8 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     Returns a PiReport whose ``value`` is V~ = c + alpha P (G R) under the
     returned policy and whose ``R`` is the final aggregate value.  Raises
     NumericalError (carrying ``.report``) when a restricted policy repeats
-    or past ``max_iter``, and ValueError for a scheme whose G is not a
-    product of 1-D factors.
+    or past ``max_iter``, and ValueError for a scheme that does not state
+    G = ⊗_j G_j (``build_scheme``'s does; an m-step scheme's does not).
     """
     reps = np.asarray(scheme.grid.rep_indices)
     L = len(reps)
@@ -270,11 +267,8 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
         if policy0.shape != (L,):
             raise ValueError(f"restricted policy must have length {L}")
         mdp.check_actions(reps, policy0)
-    # the contraction assumes G = ⊗_j G_j, which an m-step scheme's is not
-    grid, G_axes = scheme.grid, _axis_factors(scheme.grid)
-    probe = np.random.default_rng(0).random(L)
-    product = chain.contract(G_axes, probe.reshape(grid.shape)).ravel()
-    if not np.allclose(scheme.G.apply(probe), product, rtol=0.0, atol=1e-12):
+    G_axes = scheme.axis_factors()
+    if G_axes is None:
         raise ValueError("aggregated PI needs G = ⊗_j G_j, a product of 1-D factors")
     A = None
 

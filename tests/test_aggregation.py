@@ -478,8 +478,33 @@ def test_mstep_scheme_matches_two_step_first_moment():
 
 
 def test_mstep_scheme_m1_equals_standard():
-    mrp = build_reflecting_rw(30, seed=6)
-    grid = build_grid(mrp.lattice, 0.45)
-    standard = build_scheme(grid)
-    m1 = mstep_scheme(mrp, grid, 1)
-    assert_allclose(m1.G.toarray(), standard.G.toarray(), atol=1e-12)
+    # at m = 1 the targets are the lattice states, whose interpolated G (as
+    # the general path would build it) is build_G's byte for byte, so
+    # mstep_scheme returns build_scheme's scheme, product form stated
+    hospital, jrp = build_hospital(hospital_2ward()), build_jrp(jrp_small())
+    for mrp in (
+        build_reflecting_rw(30, seed=6),
+        induced_mrp(hospital, np.zeros(hospital.lattice.size, dtype=np.int64)),
+        induced_mrp(jrp, np.zeros(jrp.lattice.size, dtype=np.int64)),
+    ):
+        grid = build_grid(mrp.lattice, 0.45)
+        standard, m1 = build_scheme(grid), mstep_scheme(mrp, grid, 1)
+        assert type(m1) is type(standard) and m1.axis_factors() is not None
+        _assert_same_csr(m1.G.csr, standard.G.csr)
+        _assert_same_csr(m1.U.csr, standard.U.csr)
+        states = mrp.lattice.all_states().astype(np.float64)
+        rows = [np.arange(len(states))] * grid.lattice.dims
+        general = RowStochasticMatrix(_interp_rows(grid, states.T, rows))
+        _assert_same_csr(general.csr, standard.G.csr)
+
+
+def test_product_scheme_factors_multiply_to_G():
+    # the factors build_scheme's scheme supplies are those of G = ⊗_j G_j
+    grid = grid_from_axes(
+        StateLattice((0, -2), (4, 3)), [np.array([0, 2, 4]), np.array([-2, 0, 3])]
+    )
+    scheme = build_scheme(grid)
+    factors = scheme.axis_factors()
+    assert [F.shape for F in factors] == [(5, 3), (6, 3)]
+    kron = functools.reduce(lambda A, B: np.kron(A, B), [F.toarray() for F in factors])
+    assert np.array_equal(kron, scheme.G.toarray())

@@ -73,7 +73,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.alpha is None
     assert cfg.threads == 1
     assert cfg.baseline is True
-    assert cfg.exact is True
     assert cfg.out_dir == "out"
 
 
@@ -137,6 +136,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
                 "[problem]\nname = simple_rw\n\n[solver]\ntreads = 4\n",
             )
         )
+    # evaluate's exact reference is ``baseline`` too; there is no ``exact`` key
+    with pytest.raises(ConfigError, match="unknown config key 'exact'"):
+        load_config(
+            _write_ini(tmp_path / "exact.ini", "[problem]\nname = simple_rw\nexact = no\n")
+        )
     with pytest.raises(ConfigError, match=r"unknown config section \[solvers\]"):
         load_config(
             _write_ini(
@@ -151,16 +155,16 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     [("", True), ("true", True), ("Yes", True), ("1", True), ("on", True),
      ("false", False), ("NO", False), ("0", False), ("off", False)],
 )
-@pytest.mark.parametrize("key", ["baseline", "exact"])
+@pytest.mark.parametrize("key", ["baseline"])
 def test_load_config_booleans(tmp_path, key, word, value):
-    # both keys share one parser; an empty value means the default (true)
+    # an empty value means the default (true)
     cfg = load_config(
         _write_ini(tmp_path / "b.ini", f"[problem]\nname = simple_rw\n{key} = {word}\n")
     )
     assert getattr(cfg, key) is value
 
 
-@pytest.mark.parametrize("key", ["baseline", "exact"])
+@pytest.mark.parametrize("key", ["baseline"])
 def test_load_config_rejects_unknown_boolean(tmp_path, key, capsys):
     ini = _write_ini(tmp_path / "b.ini", f"[problem]\nname = simple_rw\n{key} = ture\n")
     with pytest.raises(ConfigError, match=f"{key} must be one of .*'ture'"):
@@ -222,7 +226,6 @@ SAMPLES = {
     "size": ("problem", "n", "12", 12),
     "grid_source": ("problem", "grid", "endpoints", "endpoints"),
     "baseline": ("problem", "baseline", "off", False),
-    "exact": ("problem", "exact", "no", False),
     "lower": ("problem", "lower", "-1; 2", (-1, 2)),
     "upper": ("problem", "upper", "4, 5", (4, 5)),
 }
@@ -373,7 +376,7 @@ def test_custom_requires_existing_file(tmp_path):
 
 def test_evaluate_without_exact_baseline(tmp_path):
     out = tmp_path / "out"
-    ini = _simple_rw_ini(tmp_path, out, extra="exact = false\n")
+    ini = _simple_rw_ini(tmp_path, out, extra="baseline = false\n")
     assert main(["--config", ini]) == 0
     lines = (out / "values.csv").read_text().splitlines()
     assert lines[0] == "state_index,x0,V_agg"
@@ -421,6 +424,27 @@ def test_diagnose_reflecting_rw(tmp_path):
     assert checks["mstep_identity_m2"]["pass"] is True
     assert checks["second_moment"]["sup_normalized"] > 0.0
     assert checks["scaled_value"]["epsilon"] == 0.1
+
+
+@pytest.mark.parametrize(
+    "problem, grid",
+    [("simple_rw", "auto"), ("hospital2", "endpoints"), ("reflecting_rw", "endpoints")],
+)
+def test_diagnose_on_explicit_grids(tmp_path, problem, grid):
+    # an explicit grid has no spacing exponent: the second-moment check
+    # reports its raw sup and marks the normalized fields as not applicable
+    out = tmp_path / "out"
+    ini = _write_ini(
+        tmp_path / "d.ini",
+        f"[problem]\nname = {problem}\nmode = diagnose\ngrid = {grid}\n"
+        f"[output]\ndir = {out}\n",
+    )
+    assert main(["--config", ini]) == 0
+    second = json.loads((out / "diagnostics.json").read_text())["second_moment"]
+    assert second["sup"] > 0.0
+    assert second["sup_normalized"] is None and second["normalization_exponent"] is None
+    assert "spacing exponent" in second["skipped"]
+    assert json.loads((out / "grid.json").read_text())["spacing_exponent"] is None
 
 
 @pytest.mark.parametrize(

@@ -25,12 +25,15 @@ from momentagg.benchmarks import (
     jrp_small,
 )
 from momentagg import (
+    AggregationScheme,
     MarkovRewardProcess,
     NumericalError,
     RowStochasticMatrix,
     StateLattice,
     aggregated_policy_iteration,
     bellman_residual,
+    build_G,
+    build_U,
     build_grid,
     build_scheme,
     exact_policy_iteration,
@@ -480,6 +483,40 @@ def test_aggregated_pi_rejects_a_non_product_scheme():
     with pytest.raises(ValueError, match="product"):
         aggregated_policy_iteration(mdp, mstep_scheme(mrp, grid, 2))
     assert aggregated_policy_iteration(mdp, mstep_scheme(mrp, grid, 1)).converged
+
+
+def test_aggregated_pi_needs_the_stated_product_form():
+    # the scheme states G = ⊗_j G_j; a hand-built scheme holding the very
+    # same G states nothing and is refused
+    mdp = build_hospital(hospital_2ward())
+    grid = build_grid(mdp.lattice, 0.45)
+    assert aggregated_policy_iteration(mdp, build_scheme(grid)).converged
+    with pytest.raises(ValueError, match="product"):
+        aggregated_policy_iteration(mdp, AggregationScheme(grid, build_U(grid), build_G(grid)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_hospital(hospital_2ward()),
+    lambda: build_jrp(jrp_small()),
+], ids=["hospital2", "jrp_small"])
+def test_greedy_makes_one_call_per_thread(make):
+    # _greedy at any thread count returns the 1-thread actions and q bit
+    # for bit, from exactly ``threads`` contiguous greedy_at calls
+    mdp = make()
+    idx = np.arange(mdp.lattice.size)
+    W = np.random.default_rng(5).random(mdp.lattice.size) * 100.0
+    expect = control._greedy(mdp, idx, W)
+    for threads in (2, 3, 4):
+        calls = []
+
+        def counted(indices, W):
+            calls.append(len(indices))
+            return type(mdp).greedy_at(mdp, indices, W)
+
+        mdp.greedy_at, mdp.threads = counted, threads
+        actions, qvals = control._greedy(mdp, idx, W)
+        assert _same_bytes(actions, expect[0]) and _same_bytes(qvals, expect[1])
+        assert sorted(calls) == sorted(len(c) for c in np.array_split(idx, threads))
 
 
 def test_aggregated_pi_iteration_cap_reports_last_iterate(monkeypatch):
