@@ -94,9 +94,12 @@ def weights(grid, point, *, clamp=False):
     The keys are the corners of the smallest grid box enclosing the point;
     axes on which it hits a grid value collapse to one corner.  The point
     may be fractional (an m-step target E_y[X_{m-1}]); with ``clamp`` it is
-    clipped into the grid hull instead of raising.
+    clipped into the grid hull instead of raising.  The weights are
+    normalized as G's rows are, so at a lattice state y they are row y of
+    ``build_G(grid)`` bit for bit.
     """
-    row = _interp_rows(grid, np.reshape(point, (-1, 1)), [[0]] * grid.lattice.dims, clamp=clamp)
+    rows = _interp_rows(grid, np.reshape(point, (-1, 1)), [[0]] * grid.lattice.dims, clamp=clamp)
+    row = RowStochasticMatrix(rows).csr
     return {int(c): float(w) for c, w in zip(row.indices, row.data)}
 
 

@@ -474,7 +474,64 @@ def _route_dtype(caps):
 def _ragged_arange(starts, counts):
     """Concatenation of ``arange(s, s + k)`` over the pairs (s, k)."""
     offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(np.sum(counts)))
+    out = np.repeat(starts - offsets, counts)
+    out += np.arange(len(out))
+    return out
+
+
+def _expand_routes(pairs, supply, space, m):
+    """Every routing along ``pairs`` of m states' patients, state by state
+    and in action-id order: the first pair's count varies slowest, counts
+    ascend.  ``supply`` and ``space`` map each pair's wards to their columns
+    of waiting patients and free beds over the states.  Returns each
+    routing's state (0..m-1, int32), each pair's route counts, and the
+    supply and space the routing leaves."""
+    owner, routes = np.arange(m, dtype=np.int32), []
+    for a, b in pairs:
+        counts = np.minimum(supply[a], space[b]).astype(np.int32) + 1
+        src = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        v = np.arange(len(src), dtype=np.int32)
+        v -= (np.cumsum(counts, dtype=np.int32) - counts)[src]
+        v = v.astype(supply[a].dtype)
+        owner, routes = owner[src], [r[src] for r in routes]
+        supply = {j: col[src] for j, col in supply.items()}
+        space = {j: col[src] for j, col in space.items()}
+        supply[a] -= v
+        space[b] -= v
+        routes.append(v)
+    return owner, routes, supply, space
+
+
+def _row_sum(cols, coefs):
+    """Σ_t cols[t] * coefs[t], rounded bit for bit as
+    ``np.sum(np.stack(cols, axis=1) * coefs, axis=1)`` rounds it, without
+    the stacked array (a column may be a scalar): numpy adds a contiguous
+    row to 0 by pairwise summation (``_pairwise``)."""
+    return 0.0 + _pairwise(lambda t: np.multiply(cols[t], coefs[t], dtype=np.float64), 0, len(cols))
+
+
+def _pairwise(term, lo, hi):
+    """Sum of ``term(t)`` for t in [lo, hi) in numpy's pairwise order: one
+    running sum below 8 terms, eight interleaved ones combined as a balanced
+    tree up to 128, longer runs split at a multiple of 8 near the middle."""
+    k = hi - lo
+    if k < 8:
+        total = 0.0
+        for t in range(lo, hi):
+            total += term(t)  # in place once it is an array
+        return total
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise(term, lo, lo + half) + _pairwise(term, lo + half, hi)
+    r = [term(t) for t in range(lo, lo + 8)]
+    stop = hi - k % 8
+    for i in range(lo + 8, stop, 8):
+        for j in range(8):
+            r[j] += term(i + j)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in range(stop, hi):
+        total += term(t)
+    return total
 
 
 class HospitalOverflowMdp(PostDecisionMdp):
@@ -523,66 +580,85 @@ class HospitalOverflowMdp(PostDecisionMdp):
         return table
 
     def _build_table(self):
-        n = self.lattice.size
-        # the expansion runs on small integer arrays, route counts in the
-        # routes' type and parent ids in 32 bits (hospital4, the largest
-        # instance, has 235,075 actions), freed as soon as they are used
+        n, J = self.lattice.size, self.J
         small = _route_dtype(self.params.caps)
-        x = self.lattice.to_coords(np.arange(n)).astype(small)
-        beds = np.asarray(self.params.beds, dtype=small)
-        supply = np.maximum(x - beds, 0)  # waiting patients not yet routed
-        space = np.maximum(beds - x, 0)  # free beds not yet taken
-        # expand every partial action by the values of one more entry; each
-        # expansion keeps the parents' order and lists values ascending
-        parents, values = [], []
-        for a, b in self._pairs:
-            counts = np.minimum(supply[:, a], space[:, b]).astype(np.int32) + 1
-            src = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-            v = np.arange(len(src), dtype=np.int32)
-            v -= (np.cumsum(counts, dtype=np.int32) - counts)[src]
-            v = v.astype(small)
-            supply, space = supply[src], space[src]
-            supply[:, a] -= v
-            space[:, b] -= v
-            parents.append(src)
-            values.append(v)
-        del supply, space, src, v
-        # walk each complete action back through its partials to its state,
-        # dropping each partial level once it is read
-        routes = np.empty((len(values[-1]), len(self._pairs)), dtype=small)
-        owner = np.arange(len(routes), dtype=np.int32)
-        for t in reversed(range(len(self._pairs))):
-            routes[:, t] = values.pop()[owner]
-            owner = parents.pop()[owner]
-        # occupancy once the routed patients have left, then once they arrive
-        post = x[owner]
+        # per-ward columns over the states (lower corner 0): patients waiting
+        # beyond the beds, and free beds
+        x = np.unravel_index(np.arange(n), self.lattice.shape)
+        beds = self.params.beds
+        supply = [np.maximum(x[j] - beds[j], 0).astype(small) for j in range(J)]
+        space = [np.maximum(beds[j] - x[j], 0).astype(small) for j in range(J)]
         del x
-        for t, (a, _) in enumerate(self._pairs):
-            post[:, a] -= routes[:, t]
-        B = np.asarray(self.params.overflow, dtype=np.float64)
-        H = np.asarray(self.params.holding, dtype=np.float64)
-        pair_cost = np.array([B[a, b] for a, b in self._pairs])
-        # elementwise sums, not matmuls: BLAS may round a pair's dot product
-        # differently depending on how many pairs share the call; in row
-        # blocks, so the float products stay a few MB
-        costs = np.empty(len(routes))
-        for s in range(0, len(routes), _TABLE_BLOCK):
-            r, p = routes[s : s + _TABLE_BLOCK], post[s : s + _TABLE_BLOCK]
-            costs[s : s + _TABLE_BLOCK] = np.sum(r * pair_cost, axis=1)
-            costs[s : s + _TABLE_BLOCK] += np.sum(np.maximum(p - beds, 0) * H, axis=1)
-        for t, (_, b) in enumerate(self._pairs):
-            post[:, b] += routes[:, t]
-        counts = np.bincount(owner, minlength=n)
-        del owner
+        # pair (a, b) routes patients only if ward a has some waiting and ward
+        # b some free beds in the state itself (routing only uses them up);
+        # states whose wards agree on which have either share their live
+        # pairs, and each such group is expanded over its live pairs alone
+        # (every other pair's route is 0, its only value)
+        key = np.zeros(n, dtype=np.int64)
+        for j in range(J):
+            key = 3 * key + (supply[j] > 0) + 2 * (space[j] > 0)
+        order = np.argsort(key, kind="stable")  # states ascend in each group
+        groups = []
+        for states in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            i = states[0]
+            live = [(t, a, b) for t, (a, b) in enumerate(self._pairs)
+                    if supply[a][i] > 0 and space[b][i] > 0]
+            groups.append((states, live))
+        del key
+
+        def expand(states, live, depth):
+            # the first ``depth`` live pairs, over every live pair's columns
+            return _expand_routes(
+                [(a, b) for _, a, b in live[:depth]],
+                {a: supply[a][states] for _, a, _ in live},
+                {b: space[b][states] for _, _, b in live},
+                len(states),
+            )
+
+        # first the action counts, without the last live pair's expansion:
+        # its values number min(supply, space) + 1 per partial routing
+        counts = np.ones(n, dtype=np.int64)
+        for states, live in groups:
+            if live:
+                owner, _, sup, spa = expand(states, live, len(live) - 1)
+                _, a, b = live[-1]
+                last = np.minimum(sup[a], spa[b]).astype(np.int64) + 1
+                counts[states] = np.bincount(owner, weights=last, minlength=len(states))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        table = ActionTable(
-            indptr=indptr,
-            counts=counts,
-            routes=routes,
-            posts=np.ravel_multi_index(tuple(post.T), self.lattice.shape),  # lower corner 0
-            costs=costs,
-        )
+        # then each group's actions, in blocks of whole states, written to
+        # their rows indptr[state] + rank
+        routes = np.zeros((int(indptr[-1]), len(self._pairs)), dtype=small)
+        posts = np.empty(len(routes), dtype=np.intp)
+        costs = np.empty(len(routes))
+        B = np.asarray(self.params.overflow, dtype=np.float64)
+        H = np.asarray(self.params.holding, dtype=np.float64)
+        pair_cost = [B[a, b] for a, b in self._pairs]
+        stride = [int(np.prod(self.lattice.shape[j + 1 :])) for j in range(J)]
+
+        def fill(block, live):
+            owner, moved, left, _ = expand(block, live, len(live))
+            rows = _ragged_arange(indptr[block], counts[block])
+            post = block[owner]  # each routing's state, until the routes move it
+            del owner
+            # boarding patients: what routing left of each ward's supply
+            hold_cols = [left[j] if j in left else supply[j][post] for j in range(J)]
+            route_cols = [0] * len(self._pairs)
+            for (t, a, b), v in zip(live, moved):
+                routes[rows, t] = v
+                route_cols[t] = v
+                post += np.multiply(v, stride[b] - stride[a], dtype=np.intp)
+            posts[rows] = post
+            del post
+            cost = _row_sum(route_cols, pair_cost)
+            cost += _row_sum(hold_cols, H)
+            costs[rows] = cost
+
+        for states, live in groups:
+            ends = np.concatenate(([0], np.cumsum(counts[states])))
+            for lo, hi in chain.row_blocks(ends, _TABLE_BLOCK):
+                fill(states[lo:hi], live)
+        table = ActionTable(indptr=indptr, counts=counts, routes=routes, posts=posts, costs=costs)
         for arr in vars(table).values():
             arr.setflags(write=False)
         return table

@@ -120,11 +120,13 @@ class RowStochasticMatrix:
             # no row empties: a row summing to about one keeps its largest entry
             sums = np.add.reduceat(data, indptr[:-1])
             shared = False
-        # renormalize exactly (post-drop sums are within n*1e-15 of one)
-        scale = np.repeat(1.0 / sums, np.diff(indptr))
+        # renormalize exactly (post-drop sums are within n*1e-15 of one);
+        # rows that already sum to exactly one would be multiplied by ones
+        scale = None if np.all(sums == 1.0) else np.repeat(1.0 / sums, np.diff(indptr))
         if shared:
-            data, indices, indptr = data * scale, indices.copy(), indptr.copy()
-        else:
+            data = data.copy() if scale is None else data * scale
+            indices, indptr = indices.copy(), indptr.copy()
+        elif scale is not None:
             data *= scale
         M = sparse.csr_matrix((data, indices, indptr), shape=M.shape)
         M.has_canonical_format = True  # columns ascend, no duplicates

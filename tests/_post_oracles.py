@@ -13,9 +13,10 @@ Each family function is an old per-class method, written against the model's
 parameters, kernels and cost tables: the joint replenishment COO row
 builder, expected-next contraction (last axis first), scalar cost,
 per-state greedy loop and post-order arithmetic, and the hospital's
-tensor contraction (axis 0 first) and induced chain.  The hospital's
-kernel rows are checked against dense outer products in
-``test_hospital_table``.  Only the greedy loop calls the shared base
+tensor contraction (axis 0 first), induced chain and action-table build
+(``hospital_table``: every state expanded over every ward pair, 2-D row
+gathers).  The hospital's kernel rows are checked against dense outer
+products in ``test_hospital_table``.  Only the greedy loop calls the shared base
 class, for ``expect``, so that it checks the q-block arithmetic alone.
 
 The two builders that ``chain.row_kron`` replaced close the module: the
@@ -31,6 +32,7 @@ expansion of the post-decision kernel rows (``kernel_csr``, once
 import numpy as np
 from scipy import sparse
 
+from momentagg import benchmarks
 from momentagg.aggregation import _bracket
 from momentagg.chain import RowStochasticMatrix
 from momentagg.control import _full_policy
@@ -231,6 +233,62 @@ def hospital_induced_apply(mdp, policy):
     pairs = mdp.table.indptr[:-1] + np.asarray(policy, dtype=np.int64)
     posts = mdp.table.posts[pairs]
     return (lambda v: hospital_contract(mdp, v).ravel()[posts]), mdp.table.costs[pairs]
+
+
+def hospital_table(mdp):
+    """The hospital's ``ActionTable``, every state expanded by the values of
+    every ward pair in turn (one level per pair, row gathers of the whole
+    partial-action set), then walked back to the states."""
+    n = mdp.lattice.size
+    small = benchmarks._route_dtype(mdp.params.caps)
+    x = mdp.lattice.to_coords(np.arange(n)).astype(small)
+    beds = np.asarray(mdp.params.beds, dtype=small)
+    supply = np.maximum(x - beds, 0)  # waiting patients not yet routed
+    space = np.maximum(beds - x, 0)  # free beds not yet taken
+    parents, values = [], []
+    for a, b in mdp._pairs:
+        counts = np.minimum(supply[:, a], space[:, b]).astype(np.int32) + 1
+        src = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        v = np.arange(len(src), dtype=np.int32)
+        v -= (np.cumsum(counts, dtype=np.int32) - counts)[src]
+        v = v.astype(small)
+        supply, space = supply[src], space[src]
+        supply[:, a] -= v
+        space[:, b] -= v
+        parents.append(src)
+        values.append(v)
+    del supply, space, src, v
+    routes = np.empty((len(values[-1]), len(mdp._pairs)), dtype=small)
+    owner = np.arange(len(routes), dtype=np.int32)
+    for t in reversed(range(len(mdp._pairs))):
+        routes[:, t] = values.pop()[owner]
+        owner = parents.pop()[owner]
+    post = x[owner]
+    del x
+    for t, (a, _) in enumerate(mdp._pairs):
+        post[:, a] -= routes[:, t]
+    B = np.asarray(mdp.params.overflow, dtype=np.float64)
+    H = np.asarray(mdp.params.holding, dtype=np.float64)
+    pair_cost = np.array([B[a, b] for a, b in mdp._pairs])
+    block = benchmarks._TABLE_BLOCK
+    costs = np.empty(len(routes))
+    for s in range(0, len(routes), block):
+        r, p = routes[s : s + block], post[s : s + block]
+        costs[s : s + block] = np.sum(r * pair_cost, axis=1)
+        costs[s : s + block] += np.sum(np.maximum(p - beds, 0) * H, axis=1)
+    for t, (_, b) in enumerate(mdp._pairs):
+        post[:, b] += routes[:, t]
+    counts = np.bincount(owner, minlength=n)
+    del owner
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return benchmarks.ActionTable(
+        indptr=indptr,
+        counts=counts,
+        routes=routes,
+        posts=np.ravel_multi_index(tuple(post.T), mdp.lattice.shape),
+        costs=costs,
+    )
 
 
 # ---------------------------------------------------------------------------

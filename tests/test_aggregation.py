@@ -302,9 +302,22 @@ def test_weights_match_corner_loop():
     points[:10] = np.round(points[:10])
     points[10:15, 0] = grid.axes[0][3]
     for p in points:
-        row = po.interp_csr(grid, [p], clamp=True)
-        want = {int(c): float(w) for c, w in zip(row.indices, row.data) if w > 0.0}
+        # normalized as G's rows are, as weights are
+        row = RowStochasticMatrix(po.interp_csr(grid, [p], clamp=True)).csr
+        want = {int(c): float(w) for c, w in zip(row.indices, row.data)}
         assert weights(grid, p, clamp=True) == want
+
+
+def test_weights_are_the_rows_of_G():
+    # the raw corner products differed from G's renormalized rows in the
+    # last bit at 45 of hospital2's 1,849 states
+    lattice = build_hospital(hospital_2ward()).lattice
+    grid = build_grid(lattice, 0.45)
+    G = build_G(grid).csr
+    for y, x in enumerate(lattice.all_states()):
+        lo, hi = G.indptr[y], G.indptr[y + 1]
+        want = {int(c): float(w) for c, w in zip(G.indices[lo:hi], G.data[lo:hi])}
+        assert weights(grid, x) == want, y
 
 
 # ---------------------------------------------------------------------------

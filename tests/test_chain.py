@@ -178,6 +178,28 @@ def test_constructor_leaves_csr_input_untouched(tiny):
         assert not np.shares_memory(getattr(P.csr, name), getattr(M, name))
 
 
+@pytest.mark.parametrize("which", ["P", "G"])
+def test_constructor_copies_exact_rows_without_rescaling(which):
+    # a reflecting walk's P and its G: every row already sums to exactly one,
+    # so the CSR comes out byte-identical to the reference, in copies of the
+    # caller's arrays, without the entry-sized scale and product that took
+    # the peak to 1.86 times the copies (1.32 without them)
+    mrp = build_reflecting_rw(200_000, 0)
+    M = mrp.P.csr if which == "P" else build_scheme(build_grid(mrp.lattice, 0.45)).G.csr
+    assert np.all(np.add.reduceat(M.data, M.indptr[:-1]) == 1.0)
+    tracemalloc.start()
+    try:
+        P = RowStochasticMatrix(M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_csr(P.csr, _reference_constructor(M))
+    for name in ("indptr", "indices", "data"):
+        assert not np.shares_memory(getattr(P.csr, name), getattr(M, name))
+    copies = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    assert peak <= 1.5 * copies, f"peak {peak} bytes for {copies} bytes of copies"
+
+
 def test_matrix_rejects_negative_mass():
     with pytest.raises(ValueError):
         RowStochasticMatrix([[1.5, -0.5], [0.5, 0.5]])

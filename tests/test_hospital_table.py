@@ -4,9 +4,11 @@ The recursive depth-first enumeration, the per-state greedy loop and the
 dense outer-product kernel rows below are the slow paths the table-based
 ``HospitalOverflowMdp`` replaced; they are kept here as oracles, and the
 fast paths must match them exactly (actions, posts, costs, q-values and
-the CSR arrays of stacked kernel rows).
+the CSR arrays of stacked kernel rows).  The table itself must equal, byte
+for byte, the all-pairs build it replaced (``_post_oracles.hospital_table``).
 """
 
+import dataclasses
 import threading
 import tracemalloc
 
@@ -116,6 +118,13 @@ def assert_same_csr(got, expect):
     assert np.array_equal(a.data, b.data)
 
 
+def assert_same_table(got, want):
+    for name in ("indptr", "counts", "routes", "posts", "costs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def assert_table_matches(mdp, table):
     for i, (moves, posts, costs) in table.items():
         got_moves, got_posts, got_costs = mdp._actions(i)
@@ -154,6 +163,34 @@ def test_table_matches_recursive_enumeration(instance):
     assert_table_matches(mdp, table)
     if len(states) == mdp.lattice.size:
         assert mdp.table.indptr[-1] == sum(len(t[0]) for t in table.values())
+
+
+def test_table_equals_the_all_pairs_build(instance):
+    # the build expands each state over its live ward pairs only; the old
+    # build expanded every state over every pair
+    mdp = instance[0]
+    assert_same_table(mdp.table, po.hospital_table(mdp))
+
+
+def fractional_costs(params, seed):
+    """``params`` with seeded non-integer costs, whose sums round
+    differently in each order of their terms."""
+    rng = np.random.default_rng(seed)
+    J = len(params.beds)
+    B = rng.random((J, J)) * 10.0
+    np.fill_diagonal(B, 0.0)
+    return dataclasses.replace(
+        params, overflow=tuple(map(tuple, B)), holding=tuple(rng.random(J) * 10.0)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, seed", [(hospital_3ward, 0), (hospital_4ward, 1), (hospital_4ward, 2)]
+)
+def test_table_equals_the_all_pairs_build_with_fractional_costs(make, seed):
+    # hospital4's 12 pairs sum in numpy's pairwise order, hospital3's 6 in turn
+    mdp = build_hospital(fractional_costs(make(), seed))
+    assert_same_table(mdp.table, po.hospital_table(mdp))
 
 
 def test_greedy_matches_per_state_loop(instance):
@@ -242,6 +279,37 @@ def test_table_build_peak_is_bounded():
     assert peak <= 2.5 * size, f"peak {peak} bytes for a {size}-byte table"
 
 
+@pytest.mark.parametrize("make", [hospital_3ward, hospital_4ward])
+def test_table_build_peak_is_below_the_all_pairs_build(make):
+    # 7.69 and 12.89 MiB for the all-pairs build, against 6.91 and 9.63 MiB
+    mdp = build_hospital(make())
+    peaks = []
+    for build in (lambda: po.hospital_table(mdp), mdp._build_table):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], f"peak {peaks[1]} bytes, all-pairs build {peaks[0]}"
+
+
+@pytest.mark.parametrize("k", [*range(1, 18), 127, 128, 129, 136, 300])
+def test_row_sum_rounds_as_numpy_row_sums(k):
+    # the table's costs add their terms column by column in the order
+    # np.sum(axis=1) adds a row; scalar columns stand for unrouted pairs
+    rng = np.random.default_rng(k)
+    cols = [rng.integers(0, 9, 500).astype(np.int8) for _ in range(k)]
+    for t in rng.choice(k, size=k // 3, replace=False):
+        cols[t] = 0
+    coefs = rng.random(k) * 10.0 ** rng.integers(-6, 6, k)
+    coefs[rng.random(k) < 0.2] *= -1.0
+    dense = np.column_stack([np.broadcast_to(c, 500) for c in cols])
+    want = np.sum(dense * coefs, axis=1)
+    assert np.sum(want) != 0.0
+    assert benchmarks._row_sum(cols, coefs).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("make", [hospital_2ward, hospital_3ward])
 def test_routes_are_int8_and_decode_as_an_int64_build(make, monkeypatch):
     # routes hold at most a cap of patients; the narrow table decodes to
@@ -309,8 +377,9 @@ def test_infeasible_action_raises(bad):
 
 @st.composite
 def small_params(draw):
-    J = draw(st.integers(2, 3))
-    caps = draw(st.lists(st.integers(1, 8), min_size=J, max_size=J))
+    J = draw(st.integers(2, 4))
+    # four wards make 12-term cost sums; small caps keep the oracles quick
+    caps = draw(st.lists(st.integers(1, 8 if J < 4 else 3), min_size=J, max_size=J))
     beds = [draw(st.integers(0, c)) for c in caps]
     cost = st.integers(0, 9).map(float) | st.floats(0.0, 10.0)
     overflow = [
@@ -331,6 +400,7 @@ def small_params(draw):
 @given(params=small_params(), seed=st.integers(0, 2**16))
 def test_random_instances_match_oracles(params, seed):
     mdp = build_hospital(params)
+    assert_same_table(mdp.table, po.hospital_table(mdp))
     n = mdp.lattice.size
     states = np.arange(n)
     table = oracle_table(mdp, states)
