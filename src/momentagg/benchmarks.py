@@ -66,21 +66,21 @@ class PostDecisionMdp(ControlledMdp):
     """A controlled MDP whose actions pick a post-decision point.
 
     An action moves state i to a point w of the post-decision box, of shape
-    ``post_shape``; from there each axis j moves on its own under the 1-D
-    kernel ``kernels[j]`` (row w_j: the distribution of the next state's
-    axis-j offset), so the transition row is ⊗_j K_j[w_j].
+    ``post_shape``, at a cost; from there each axis j moves on its own
+    under the 1-D kernel ``kernels[j]`` (row w_j: the distribution of the
+    next state's axis-j offset), so the transition row is ⊗_j K_j[w_j].
 
     Subclasses set ``kernels`` (dense arrays or scipy CSR matrices) and
-    supply ``posts_at``, ``costs_at``, ``action_counts`` and ``greedy_at``.
-    Expectations, kernel rows and the induced chain are defined here, once,
-    from the kernels and the post points.
+    supply ``pairs_at``, ``action_counts`` and ``greedy_at``.  Costs,
+    expectations, kernel rows and the induced chain are defined here, once,
+    from the kernels and that one gather of post points and costs.
     """
 
     kernels: list
 
-    def posts_at(self, indices, actions):
-        """Flat post-decision index of each (state, action) pair; an
-        infeasible action raises ValueError naming its state."""
+    def pairs_at(self, indices, actions):
+        """(flat post-decision indices, costs) of the (state, action) pairs,
+        gathered after one ``check_actions``."""
         raise NotImplementedError
 
     @property
@@ -94,40 +94,38 @@ class PostDecisionMdp(ControlledMdp):
         W = np.asarray(W, dtype=np.float64).reshape(self.lattice.shape)
         return chain.contract(self.kernels, W)
 
-    def _kernel_rows(self, indices, actions):
-        # induced builds its rows here: kernel_rows_at is the operation a
-        # caller may wrap on the instance, for aggregated PI's rows only
-        w = np.unravel_index(self.posts_at(indices, actions), self.post_shape)
-        return chain.KronRows(self.kernels, w)
+    def costs_at(self, indices, actions):
+        return self.pairs_at(indices, actions)[1]
 
     def kernel_rows_at(self, indices, actions):
         """The pairs' kernel rows as ``chain.KronRows`` of the kernels."""
-        return self._kernel_rows(indices, actions)
+        posts = self.pairs_at(indices, actions)[0]
+        return chain.KronRows(self.kernels, np.unravel_index(posts, self.post_shape))
+
+    # induced and induced_apply call pairs_at itself: a caller may wrap
+    # kernel_rows_at and costs_at on the instance, for aggregated PI's alone
 
     def induced_apply(self, policy):
-        policy = _full_policy(self, policy)
-        idx = np.arange(self.lattice.size)
-        posts = self.posts_at(idx, policy)
+        posts, c = self.pairs_at(*_full_policy(self, policy))
 
         def apply_P(v):
             return self.expect(v).ravel()[posts]
 
-        return apply_P, self.costs_at(idx, policy)
+        return apply_P, c
 
     def induced(self, policy):
         """(P, c) of the induced chain, refused before any kernel row is
         built when its rows' runs hold more than ``chain.NNZ_BUDGET``
         entries."""
-        policy = _full_policy(self, policy)
-        idx = np.arange(self.lattice.size)
-        rows = self._kernel_rows(idx, policy)
+        posts, c = self.pairs_at(*_full_policy(self, policy))
+        rows = chain.KronRows(self.kernels, np.unravel_index(posts, self.post_shape))
         nnz = int(rows.sizes().sum())
         if nnz > chain.NNZ_BUDGET:
             raise ResourceLimitError(
-                f"materializing the induced kernel of {len(idx)} states needs up "
+                f"materializing the induced kernel of {len(posts)} states needs up "
                 f"to {nnz} entries (budget {chain.NNZ_BUDGET}); use induced_apply instead"
             )
-        return rows.matrix, self.costs_at(idx, policy)
+        return rows.matrix, c
 
 
 # ---------------------------------------------------------------------------
@@ -272,30 +270,20 @@ class JointReplenishmentMdp(PostDecisionMdp):
         """Decode action id to the order pair (q1, q2)."""
         return divmod(int(a), self.post_shape[1] - self._offsets(i)[1])
 
-    def _orders(self, indices, actions):
-        """State offsets (i1, i2) and order quantities (q1, q2) of the
-        (state, action) pairs; an infeasible action raises ValueError."""
-        indices = np.asarray(indices, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
-        self.check_actions(indices, actions)
+    def pairs_at(self, indices, actions):
+        indices, actions = self.check_actions(indices, actions)
         i1, i2 = np.divmod(indices, self._n2)
         q1, q2 = np.divmod(actions, self.post_shape[1] - i2)
-        return i1, i2, q1, q2
-
-    def posts_at(self, indices, actions):
-        i1, i2, q1, q2 = self._orders(indices, actions)
-        return (i1 + q1) * self.post_shape[1] + (i2 + q2)
-
-    def costs_at(self, indices, actions):
-        i1, i2, q1, q2 = self._orders(indices, actions)
+        z1, z2 = i1 + q1, i2 + q2
         p = self.params
-        return (
-            self._stage[0][i1 + q1]
-            + self._stage[1][i2 + q2]
+        costs = (
+            self._stage[0][z1]
+            + self._stage[1][z2]
             + np.where(q1 > 0, p.minor_cost[0], 0.0)
             + np.where(q2 > 0, p.minor_cost[1], 0.0)
             + self._trucks[q1, q2]
         )
+        return z1 * self.post_shape[1] + z2, costs
 
     # -- greedy sweeps -----------------------------------------------------------
 
@@ -443,16 +431,14 @@ class ActionTable:
     """Every (state, action) pair of a hospital instance, in CSR form.
 
     The actions of state i are the ``counts[i]`` pairs
-    ``indptr[i]:indptr[i + 1]``, in action-id order.  Pair p routes
-    ``routes[p, t]`` patients along the t-th off-diagonal ward pair
-    (row-major; ``_route_dtype``), lands on the post-routing occupancy with
-    flat index ``posts[p]`` and costs ``costs[p]``.  All arrays are
-    read-only.
+    ``indptr[i]:indptr[i + 1]``, in action-id order.  Pair p lands on the
+    post-routing occupancy with flat index ``posts[p]`` and costs
+    ``costs[p]``; its routing is not stored (``_actions`` expands a state's
+    routings again).  All arrays are read-only.
     """
 
     indptr: np.ndarray
     counts: np.ndarray
-    routes: np.ndarray
     posts: np.ndarray
     costs: np.ndarray
 
@@ -466,8 +452,8 @@ _TABLE_BLOCK = 1 << 15
 
 
 def _route_dtype(caps):
-    """Smallest signed integer type that holds every route count: a route
-    moves at most a ward's cap of patients (int8 on every shipped instance)."""
+    """Smallest signed integer type that holds every supply, space and route
+    count: none exceeds a ward's cap (int8 on every shipped instance)."""
     return np.min_scalar_type(-max(caps))
 
 
@@ -579,48 +565,51 @@ class HospitalOverflowMdp(PostDecisionMdp):
                 table = self._table
         return table
 
+    def _wards(self, states):
+        """Per-ward columns over ``states`` (lower corner 0), in
+        ``_route_dtype``: patients waiting beyond the beds, and free beds."""
+        small = _route_dtype(self.params.caps)
+        x = np.unravel_index(states, self.lattice.shape)
+        beds = self.params.beds
+        supply = [np.maximum(x[j] - beds[j], 0).astype(small) for j in range(self.J)]
+        space = [np.maximum(beds[j] - x[j], 0).astype(small) for j in range(self.J)]
+        return supply, space
+
+    def _expand(self, supply, space, states, depth=None):
+        """The live pairs (t, a, b) of ``states`` (positions in the
+        ``_wards`` columns) and ``_expand_routes`` over the first ``depth``.
+        Pair (a, b) is live if ward a has patients waiting and ward b free
+        beds in the state itself, since routing only uses both up; every
+        other pair's route is 0.  All ``states`` must share their live pairs."""
+        i = states[0]
+        live = [(t, a, b) for t, (a, b) in enumerate(self._pairs)
+                if supply[a][i] > 0 and space[b][i] > 0]
+        return live, _expand_routes(
+            [(a, b) for _, a, b in live[:depth]],
+            {a: supply[a][states] for _, a, _ in live},
+            {b: space[b][states] for _, _, b in live},
+            len(states),
+        )
+
     def _build_table(self):
         n, J = self.lattice.size, self.J
-        small = _route_dtype(self.params.caps)
-        # per-ward columns over the states (lower corner 0): patients waiting
-        # beyond the beds, and free beds
-        x = np.unravel_index(np.arange(n), self.lattice.shape)
-        beds = self.params.beds
-        supply = [np.maximum(x[j] - beds[j], 0).astype(small) for j in range(J)]
-        space = [np.maximum(beds[j] - x[j], 0).astype(small) for j in range(J)]
-        del x
-        # pair (a, b) routes patients only if ward a has some waiting and ward
-        # b some free beds in the state itself (routing only uses them up);
-        # states whose wards agree on which have either share their live
-        # pairs, and each such group is expanded over its live pairs alone
-        # (every other pair's route is 0, its only value)
+        supply, space = self._wards(np.arange(n))
+        # states whose wards agree on which have patients waiting and which
+        # free beds share their live pairs, and each such group is expanded
+        # over its live pairs alone
         key = np.zeros(n, dtype=np.int64)
         for j in range(J):
             key = 3 * key + (supply[j] > 0) + 2 * (space[j] > 0)
         order = np.argsort(key, kind="stable")  # states ascend in each group
-        groups = []
-        for states in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-            i = states[0]
-            live = [(t, a, b) for t, (a, b) in enumerate(self._pairs)
-                    if supply[a][i] > 0 and space[b][i] > 0]
-            groups.append((states, live))
+        groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
         del key
-
-        def expand(states, live, depth):
-            # the first ``depth`` live pairs, over every live pair's columns
-            return _expand_routes(
-                [(a, b) for _, a, b in live[:depth]],
-                {a: supply[a][states] for _, a, _ in live},
-                {b: space[b][states] for _, _, b in live},
-                len(states),
-            )
 
         # first the action counts, without the last live pair's expansion:
         # its values number min(supply, space) + 1 per partial routing
         counts = np.ones(n, dtype=np.int64)
-        for states, live in groups:
+        for states in groups:
+            live, (owner, _, sup, spa) = self._expand(supply, space, states, -1)
             if live:
-                owner, _, sup, spa = expand(states, live, len(live) - 1)
                 _, a, b = live[-1]
                 last = np.minimum(sup[a], spa[b]).astype(np.int64) + 1
                 counts[states] = np.bincount(owner, weights=last, minlength=len(states))
@@ -628,16 +617,15 @@ class HospitalOverflowMdp(PostDecisionMdp):
         np.cumsum(counts, out=indptr[1:])
         # then each group's actions, in blocks of whole states, written to
         # their rows indptr[state] + rank
-        routes = np.zeros((int(indptr[-1]), len(self._pairs)), dtype=small)
-        posts = np.empty(len(routes), dtype=np.intp)
-        costs = np.empty(len(routes))
+        posts = np.empty(int(indptr[-1]), dtype=np.intp)
+        costs = np.empty(len(posts))
         B = np.asarray(self.params.overflow, dtype=np.float64)
         H = np.asarray(self.params.holding, dtype=np.float64)
         pair_cost = [B[a, b] for a, b in self._pairs]
         stride = [int(np.prod(self.lattice.shape[j + 1 :])) for j in range(J)]
 
-        def fill(block, live):
-            owner, moved, left, _ = expand(block, live, len(live))
+        def fill(block):
+            live, (owner, moved, left, _) = self._expand(supply, space, block)
             rows = _ragged_arange(indptr[block], counts[block])
             post = block[owner]  # each routing's state, until the routes move it
             del owner
@@ -645,7 +633,6 @@ class HospitalOverflowMdp(PostDecisionMdp):
             hold_cols = [left[j] if j in left else supply[j][post] for j in range(J)]
             route_cols = [0] * len(self._pairs)
             for (t, a, b), v in zip(live, moved):
-                routes[rows, t] = v
                 route_cols[t] = v
                 post += np.multiply(v, stride[b] - stride[a], dtype=np.intp)
             posts[rows] = post
@@ -654,32 +641,27 @@ class HospitalOverflowMdp(PostDecisionMdp):
             cost += _row_sum(hold_cols, H)
             costs[rows] = cost
 
-        for states, live in groups:
+        for states in groups:
             ends = np.concatenate(([0], np.cumsum(counts[states])))
             for lo, hi in chain.row_blocks(ends, _TABLE_BLOCK):
-                fill(states[lo:hi], live)
-        table = ActionTable(indptr=indptr, counts=counts, routes=routes, posts=posts, costs=costs)
+                fill(states[lo:hi])
+        table = ActionTable(indptr=indptr, counts=counts, posts=posts, costs=costs)
         for arr in vars(table).values():
             arr.setflags(write=False)
         return table
-
-    def _pair_ids(self, indices, actions):
-        """Table rows of the (state, action) pairs; infeasible ones raise."""
-        indices = np.asarray(indices, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
-        self.check_actions(indices, actions)
-        return self.table.indptr[indices] + actions
 
     def action_counts(self):
         return self.table.counts
 
     def _actions(self, i):
-        """(routing matrices, post-action flat indices, costs) of state i."""
+        """(routing matrices, post-action flat indices, costs) of state i;
+        the routings are expanded again, as the table build expands them."""
         t = self.table
         lo, hi = t.indptr[i], t.indptr[i + 1]
+        live, (_, moved, _, _) = self._expand(*self._wards([i]), [0])
         moves = np.zeros((hi - lo, self.J, self.J), dtype=np.int64)
-        for k, (a, b) in enumerate(self._pairs):
-            moves[:, a, b] = t.routes[lo:hi, k]
+        for (_, a, b), v in zip(live, moved):
+            moves[:, a, b] = v
         return moves, t.posts[lo:hi], t.costs[lo:hi]
 
     def routing_matrix(self, i, a):
@@ -688,11 +670,10 @@ class HospitalOverflowMdp(PostDecisionMdp):
 
     # -- gathers over the table -------------------------------------------------
 
-    def posts_at(self, indices, actions):
-        return self.table.posts[self._pair_ids(indices, actions)]
-
-    def costs_at(self, indices, actions):
-        return self.table.costs[self._pair_ids(indices, actions)]
+    def pairs_at(self, indices, actions):
+        indices, actions = self.check_actions(indices, actions)
+        rows = self.table.indptr[indices] + actions
+        return self.table.posts[rows], self.table.costs[rows]
 
     def greedy_at(self, indices, W):
         t = self.table

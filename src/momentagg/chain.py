@@ -100,14 +100,14 @@ class RowStochasticMatrix:
             M.sum_duplicates()
             shared = False
         lowest = float(M.data.min()) if M.nnz else 1.0
-        if lowest < 0.0:
-            raise ValueError("negative transition probability")
+        if not lowest >= 0.0:  # NaN fails it too
+            raise ValueError("negative or NaN transition probability")
         if not np.diff(M.indptr).all():
             raise ValueError("rows must sum to 1 (a row is empty)")
         # one pass over the entries, segment by segment as scipy's sum does;
         # reduceat would read an empty segment as its next entry
         sums = np.add.reduceat(M.data, M.indptr[:-1])
-        if np.any(np.abs(sums - 1.0) > ROWSUM_TOL):
+        if not np.all(np.abs(sums - 1.0) <= ROWSUM_TOL):
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValueError(f"rows must sum to 1 (worst deviation {worst:.3e})")
         data, indices, indptr = M.data, M.indices, M.indptr
@@ -483,6 +483,8 @@ def solve_discounted(P, c, alpha, *, tol=1e-10):
         raise ValueError("cost vector length mismatch")
 
     c_max = float(np.max(np.abs(c)))
+    if not np.isfinite(c_max):
+        raise ValueError("cost vector must be finite")
     target = tol * (1.0 + c_max)
     # the n-vectors of both stages and of the certificate, allocated once
     work = [np.empty(n) for _ in range(5)]

@@ -247,7 +247,10 @@ def _custom(cfg):
         raise ConfigError("problem=custom needs file=<instance.npz>")
     if not Path(cfg.instance_file).exists():
         raise ConfigError(f"instance file not found: {cfg.instance_file}")
-    return "mrp", benchmarks.load_mrp(cfg.instance_file)
+    try:
+        return "mrp", benchmarks.load_mrp(cfg.instance_file)
+    except ValueError as exc:
+        raise ConfigError(f"instance file {cfg.instance_file}: {exc}") from exc
 
 
 def _box(cfg):
@@ -331,18 +334,10 @@ def _resolve_policy(cfg, mdp):
         raise ConfigError(f"policy file {cfg.policy} must hold integer action ids")
     if raw.shape != (mdp.lattice.size,):
         raise ConfigError("policy file length does not match the state count")
-    bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.round(raw)))
-    if bad.size:
-        i = bad[0]
-        raise ConfigError(
-            f"policy file {cfg.policy}: action {raw[i]} in state {i} is not an integer"
-        )
-    policy = raw.astype(np.int64)
     try:
-        mdp.check_actions(np.arange(mdp.lattice.size), policy)
+        return mdp.check_actions(np.arange(mdp.lattice.size), raw)[1], None
     except ValueError as exc:
         raise ConfigError(f"policy file {cfg.policy}: {exc}") from exc
-    return policy, None
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from . import chain
 from .chain import MarkovRewardProcess, NumericalError, solve_discounted
 from .evaluation import VALUE_FLOOR, GapReport, optimality_gap_report
 from .evaluation import _solve as _solve_aggregate
-from .lattice import StateLattice
+from .lattice import StateLattice, integral
 
 __all__ = [
     "ControlledMdp",
@@ -67,10 +67,11 @@ class ControlledMdp:
     * ``induced(policy)`` / ``induced_apply(policy)`` — the chain of a full
       policy as (P, c), materialized or as (matvec, c).
 
-    Both benchmark families derive from ``benchmarks.PostDecisionMdp``,
-    which defines the kernel rows and the induced chain once from per-axis
-    kernels and the model's post-decision points: its rows are the kernels
-    at each pair's post point.
+    Each of the four pair operations runs ``check_actions`` once, and reads
+    the pairs it returns.  Both benchmark families derive from
+    ``benchmarks.PostDecisionMdp``, which defines all four once from
+    per-axis kernels and one gather of each pair's post-decision point and
+    cost.
 
     Action ids are 0-based and contiguous per state; id 0 is always the
     "do nothing" action where the model has one.
@@ -87,32 +88,43 @@ class ControlledMdp:
         return int(self.action_counts()[i])
 
     def check_actions(self, indices, actions):
-        """Raise ValueError naming the first state whose action is not one
-        of its action ids."""
-        indices = np.asarray(indices, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
+        """The (state, action) pairs as int64 arrays if every state lies in
+        [0, N) and every action is one of its state's integer ids; else
+        ValueError naming the first bad state."""
+        indices, actions = np.asarray(indices), np.asarray(actions)
+        n = self.lattice.size
+        state_ok = integral(indices) & (indices >= 0) & (indices < n)
+        action_ok = integral(actions)
+        i = indices if state_ok.all() else np.where(state_ok, indices, 0)
+        a = actions if action_ok.all() else np.where(action_ok, actions, 0)
+        i, a = i.astype(np.int64, copy=False), a.astype(np.int64, copy=False)
         bad = np.flatnonzero(
-            (actions < 0) | (actions >= self.action_counts()[indices])
+            ~(state_ok & action_ok) | (a < 0) | (a >= self.action_counts()[i])
         )
         if bad.size:
             k = bad[0]
-            raise ValueError(f"action {actions[k]} infeasible in state {indices[k]}")
+            if not state_ok[k]:
+                raise ValueError(f"state {indices[k]} is not in [0, {n})")
+            if not action_ok[k]:
+                raise ValueError(f"action {actions[k]} in state {i[k]} is not an integer")
+            raise ValueError(f"action {a[k]} infeasible in state {i[k]}")
+        return i, a
 
 
 def induced_mrp(mdp, policy):
     """Markov reward process obtained by fixing a full policy."""
-    policy = _full_policy(mdp, policy)
     P, c = mdp.induced(policy)
     return MarkovRewardProcess(mdp.lattice, P, c, mdp.discount)
 
 
 def _full_policy(mdp, policy):
+    """The pairs (every state, its action) of a full policy, unchecked: the
+    caller passes them to ``check_actions`` or to a gather that runs it."""
     n = mdp.lattice.size
-    policy = np.asarray(policy, dtype=np.int64)
+    policy = np.asarray(policy)
     if policy.shape != (n,):
         raise ValueError(f"policy must assign an action to each of {n} states")
-    mdp.check_actions(np.arange(n), policy)
-    return policy
+    return np.arange(n), policy
 
 
 @dataclass
@@ -233,7 +245,7 @@ def exact_policy_iteration(mdp, policy0=None, *, tol=1e-10, max_iter=200):
     """
     n = mdp.lattice.size
     if policy0 is not None:
-        policy0 = _full_policy(mdp, policy0)
+        policy0 = mdp.check_actions(*_full_policy(mdp, policy0))[1]
     solve = partial(solve_discounted, tol=tol)
     return _policy_iteration(
         mdp, np.arange(n), policy0, mdp.induced_apply, solve, lambda V: V,
@@ -263,10 +275,10 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     reps = np.asarray(scheme.grid.rep_indices)
     L = len(reps)
     if policy0 is not None:
-        policy0 = np.asarray(policy0, dtype=np.int64)
+        policy0 = np.asarray(policy0)
         if policy0.shape != (L,):
             raise ValueError(f"restricted policy must have length {L}")
-        mdp.check_actions(reps, policy0)
+        policy0 = mdp.check_actions(reps, policy0)[1]
     G_axes = scheme.axis_factors()
     if G_axes is None:
         raise ValueError("aggregated PI needs G = ⊗_j G_j, a product of 1-D factors")
@@ -310,7 +322,6 @@ class BellmanResidualReport:
 
 def bellman_residual(mdp, policy, W):
     """One-step Bellman residual of W under a full policy."""
-    policy = _full_policy(mdp, policy)
     W = np.asarray(W, dtype=np.float64)
     apply_P, c = mdp.induced_apply(policy)
     residual = np.abs(c + mdp.discount * apply_P(W) - W)

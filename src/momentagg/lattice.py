@@ -13,6 +13,14 @@ import numpy as np
 __all__ = ["StateLattice", "euclidean_norm"]
 
 
+def integral(x):
+    """Per entry of array ``x``: whether it is a finite integer (every entry
+    of an integer array is)."""
+    if x.dtype.kind in "biu":
+        return np.ones(x.shape, dtype=bool)
+    return np.isfinite(x) & (x == np.floor(x))
+
+
 class StateLattice:
     """Bounded integer box with row-major flat indexing.
 
@@ -46,10 +54,8 @@ class StateLattice:
             raise ValueError("lower and upper must be 1-D and equally long")
         if lower.size == 0:
             raise ValueError("lattice needs at least one axis")
-        for arr in (lower, upper):
-            if not np.issubdtype(arr.dtype, np.integer):
-                if not np.all(arr == np.floor(arr)):
-                    raise ValueError("lattice bounds must be integers")
+        if not (integral(lower).all() and integral(upper).all()):
+            raise ValueError("lattice bounds must be integers")
         lower = lower.astype(np.int64)
         upper = upper.astype(np.int64)
         if np.any(upper < lower):
@@ -85,13 +91,15 @@ class StateLattice:
         Raises
         ------
         ValueError
-            If any coordinate lies outside the box.
+            If any coordinate is not an integer or lies outside the box.
         """
         c = np.asarray(coords)
         single = c.ndim == 1
         c = np.atleast_2d(c)
         if c.shape[-1] != self.dims:
             raise ValueError(f"expected {self.dims} coordinates per state")
+        if not integral(c).all():
+            raise ValueError("coordinates must be integers")
         if np.any(c < self.lower) or np.any(c > self.upper):
             raise ValueError("coordinates outside lattice bounds")
         offsets = (c - self.lower).astype(np.int64)

@@ -15,7 +15,7 @@ builder, expected-next contraction (last axis first), scalar cost,
 per-state greedy loop and post-order arithmetic, and the hospital's
 tensor contraction (axis 0 first), induced chain and action-table build
 (``hospital_table``: every state expanded over every ward pair, 2-D row
-gathers).  The hospital's kernel rows are checked against dense outer
+gathers, with the routes column the table no longer stores).  The hospital's kernel rows are checked against dense outer
 products in ``test_hospital_table``.  Only the greedy loop calls the shared base
 class, for ``expect``, so that it checks the q-block arithmetic alone.
 
@@ -28,6 +28,8 @@ expansion of the post-decision kernel rows (``kernel_csr``, once
 ``ward_matrix`` is the hospital ward kernel as first written, through
 ``scipy.stats``, which the package no longer imports.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -99,8 +101,7 @@ def costs_at(mdp, indices, actions):
 
 def induced(mdp, policy):
     """(P, c) of the chain obtained by following ``policy`` everywhere."""
-    policy = _full_policy(mdp, policy)
-    idx = np.arange(mdp.lattice.size)
+    idx, policy = _full_policy(mdp, policy)
     return mdp.kernel_rows_at(idx, policy), mdp.costs_at(idx, policy)
 
 
@@ -235,10 +236,24 @@ def hospital_induced_apply(mdp, policy):
     return (lambda v: hospital_contract(mdp, v).ravel()[posts]), mdp.table.costs[pairs]
 
 
+@dataclass(frozen=True)
+class AllPairsTable:
+    """The hospital's ``ActionTable`` as the all-pairs build made it: pair p
+    also routes ``routes[p, t]`` patients along the t-th off-diagonal ward
+    pair (row-major, in ``benchmarks._route_dtype``)."""
+
+    indptr: np.ndarray
+    counts: np.ndarray
+    routes: np.ndarray
+    posts: np.ndarray
+    costs: np.ndarray
+
+
 def hospital_table(mdp):
-    """The hospital's ``ActionTable``, every state expanded by the values of
-    every ward pair in turn (one level per pair, row gathers of the whole
-    partial-action set), then walked back to the states."""
+    """The hospital's action table with its routes (``AllPairsTable``),
+    every state expanded by the values of every ward pair in turn (one level
+    per pair, row gathers of the whole partial-action set), then walked back
+    to the states."""
     n = mdp.lattice.size
     small = benchmarks._route_dtype(mdp.params.caps)
     x = mdp.lattice.to_coords(np.arange(n)).astype(small)
@@ -282,7 +297,7 @@ def hospital_table(mdp):
     del owner
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return benchmarks.ActionTable(
+    return AllPairsTable(
         indptr=indptr,
         counts=counts,
         routes=routes,

@@ -58,12 +58,13 @@ class TabularMdp(ControlledMdp):
         return np.full(self.lattice.size, len(self.kernels), dtype=np.int64)
 
     def kernel_rows_at(self, indices, actions):
+        indices, actions = self.check_actions(indices, actions)
         stacked = sparse.vstack([K.csr for K in self.kernels], format="csr")
-        pairs = np.asarray(actions) * self.lattice.size + np.asarray(indices)
-        return FlatRows([stacked], [pairs])
+        return FlatRows([stacked], [actions * self.lattice.size + indices])
 
     def costs_at(self, indices, actions):
-        return self.costs[np.asarray(actions), np.asarray(indices)]
+        indices, actions = self.check_actions(indices, actions)
+        return self.costs[actions, indices]
 
     def greedy_at(self, indices, W):
         indices = np.asarray(indices)
@@ -78,10 +79,10 @@ class TabularMdp(ControlledMdp):
         return actions.astype(np.int64), Q[actions, np.arange(len(indices))]
 
     def induced(self, policy):
-        policy = _full_policy(self, policy)
-        rows = [self.kernels[a].row(i) for i, a in enumerate(policy)]
+        idx, policy = self.check_actions(*_full_policy(self, policy))
+        rows = [self.kernels[a].row(i) for i, a in zip(idx, policy)]
         P = from_rows(rows, self.lattice.size)
-        return P, self.costs[policy, np.arange(self.lattice.size)]
+        return P, self.costs[policy, idx]
 
     def induced_apply(self, policy):
         P, c = self.induced(policy)

@@ -205,6 +205,14 @@ def test_matrix_rejects_negative_mass():
         RowStochasticMatrix([[1.5, -0.5], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("form", ["csr", "dense"])
+def test_matrix_rejects_nan(form):
+    # NaN fails every comparison, so the checks are written to need a pass
+    M = np.array([[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="NaN"):
+        RowStochasticMatrix(sparse.csr_matrix(M) if form == "csr" else M)
+
+
 def test_matrix_rejects_bad_row_sum():
     with pytest.raises(ValueError, match="sum to 1"):
         RowStochasticMatrix([[0.6, 0.3], [0.5, 0.5]])
@@ -524,6 +532,16 @@ def test_solve_discounted_callable_operator():
 def test_solve_discounted_rejects_bad_discount():
     with pytest.raises(ValueError):
         solve_discounted(np.eye(2), np.ones(2), 1.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_discounted_rejects_a_non_finite_cost(bad):
+    # refused up front, not by a Richardson step count of NaN
+    c = np.ones(3)
+    c[1] = bad
+    for P in (0.5 * np.eye(3), lambda v: 0.5 * v):
+        with pytest.raises(ValueError, match="cost vector must be finite"):
+            solve_discounted(P, c, 0.9)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])

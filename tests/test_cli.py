@@ -374,6 +374,22 @@ def test_custom_requires_existing_file(tmp_path):
     assert main(["--config", ini]) == 1
 
 
+def test_custom_instance_with_a_nan_probability_is_a_config_error(tmp_path, capsys):
+    inst = tmp_path / "walk.npz"
+    save_mrp(inst, build_reflecting_rw(40, seed=2))
+    with np.load(inst) as z:
+        arrays = dict(z)
+    arrays["data"][3] = np.nan
+    np.savez_compressed(inst, **arrays)
+    ini = _write_ini(
+        tmp_path / "c.ini",
+        f"[problem]\nname = custom\nfile = {inst}\n[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", ini]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: instance file {inst}: negative or NaN transition probability\n"
+
+
 def test_evaluate_without_exact_baseline(tmp_path):
     out = tmp_path / "out"
     ini = _simple_rw_ini(tmp_path, out, extra="baseline = false\n")

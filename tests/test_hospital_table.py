@@ -5,7 +5,8 @@ dense outer-product kernel rows below are the slow paths the table-based
 ``HospitalOverflowMdp`` replaced; they are kept here as oracles, and the
 fast paths must match them exactly (actions, posts, costs, q-values and
 the CSR arrays of stacked kernel rows).  The table itself must equal, byte
-for byte, the all-pairs build it replaced (``_post_oracles.hospital_table``).
+for byte, the all-pairs build it replaced (``_post_oracles.hospital_table``),
+and the routings ``_actions`` expands again must equal that build's routes.
 """
 
 import dataclasses
@@ -119,10 +120,21 @@ def assert_same_csr(got, expect):
 
 
 def assert_same_table(got, want):
-    for name in ("indptr", "counts", "routes", "posts", "costs"):
+    for name in ("indptr", "counts", "posts", "costs"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+def assert_routes_match(mdp, want, states):
+    """``_actions(i)`` routings equal the rows of the all-pairs build's
+    routes at every state i of ``states``."""
+    a, b = np.array(mdp._pairs).T
+    for i in states:
+        moves = mdp._actions(i)[0]
+        rows = want.routes[want.indptr[i] : want.indptr[i + 1]]
+        assert moves.dtype == np.int64
+        assert np.array_equal(moves[:, a, b], rows), i
 
 
 def assert_table_matches(mdp, table):
@@ -170,6 +182,15 @@ def test_table_equals_the_all_pairs_build(instance):
     # build expanded every state over every pair
     mdp = instance[0]
     assert_same_table(mdp.table, po.hospital_table(mdp))
+
+
+@pytest.mark.parametrize("make", [hospital_2ward, hospital_3ward, hospital_4ward])
+def test_decoded_routes_equal_the_all_pairs_routes_everywhere(make):
+    # the table keeps no routes; _actions expands each state's routings
+    # over its live pairs again, in the build's order
+    mdp = build_hospital(make())
+    assert set(vars(mdp.table)) == {"indptr", "counts", "posts", "costs"}
+    assert_routes_match(mdp, po.hospital_table(mdp), range(mdp.lattice.size))
 
 
 def fractional_costs(params, seed):
@@ -265,9 +286,9 @@ def test_greedy_threads_agree_and_table_built_once():
 
 
 def test_table_build_peak_is_bounded():
-    # hospital3's table holds 5.6 MB (15.7 MB with int64 routes); its build
-    # once peaked at 4.7 times the latter (int64 expansion temporaries kept
-    # to the end), now under 2 times the former
+    # hospital3's table holds 3.9 MiB (15 MiB with the int64 routes column
+    # it once kept); its build once peaked at 4.7 times the latter (int64
+    # expansion temporaries kept to the end), now under 1.5 times the former
     mdp = build_hospital(hospital_3ward())
     tracemalloc.start()
     try:
@@ -281,7 +302,7 @@ def test_table_build_peak_is_bounded():
 
 @pytest.mark.parametrize("make", [hospital_3ward, hospital_4ward])
 def test_table_build_peak_is_below_the_all_pairs_build(make):
-    # 7.69 and 12.89 MiB for the all-pairs build, against 6.91 and 9.63 MiB
+    # 7.69 and 12.89 MiB for the all-pairs build, against 5.49 and 6.93 MiB
     mdp = build_hospital(make())
     peaks = []
     for build in (lambda: po.hospital_table(mdp), mdp._build_table):
@@ -311,23 +332,21 @@ def test_row_sum_rounds_as_numpy_row_sums(k):
 
 
 @pytest.mark.parametrize("make", [hospital_2ward, hospital_3ward])
-def test_routes_are_int8_and_decode_as_an_int64_build(make, monkeypatch):
-    # routes hold at most a cap of patients; the narrow table decodes to
-    # the same routing matrices, posts and costs as an int64 one
-    narrow = build_hospital(make()).table
-    assert narrow.routes.dtype == np.int8
+def test_narrow_build_decodes_as_an_int64_build(make, monkeypatch):
+    # supply, space and routes hold at most a cap of patients; the narrow
+    # build gives the same table, and decodes to the same routing matrices,
+    # posts and costs, as an int64 one
+    assert benchmarks._route_dtype(make().caps) == np.int8
+    ref = build_hospital(make())
+    states = range(ref.lattice.size)
+    narrow = [ref._actions(i) for i in states]
     monkeypatch.setattr(benchmarks, "_route_dtype", lambda caps: np.dtype(np.int64))
     mdp = build_hospital(make())
-    wide = mdp.table
-    assert wide.routes.dtype == np.int64
-    assert np.array_equal(narrow.routes, wide.routes)
     for name in ("indptr", "counts", "posts", "costs"):
-        a, b = getattr(narrow, name), getattr(wide, name)
+        a, b = getattr(ref.table, name), getattr(mdp.table, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    monkeypatch.undo()
-    ref = build_hospital(make())
-    for i in range(mdp.lattice.size):
-        for got, want in zip(ref._actions(i), mdp._actions(i)):
+    for i in states:
+        for got, want in zip(narrow[i], mdp._actions(i)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -400,9 +419,11 @@ def small_params(draw):
 @given(params=small_params(), seed=st.integers(0, 2**16))
 def test_random_instances_match_oracles(params, seed):
     mdp = build_hospital(params)
-    assert_same_table(mdp.table, po.hospital_table(mdp))
+    want = po.hospital_table(mdp)
+    assert_same_table(mdp.table, want)
     n = mdp.lattice.size
     states = np.arange(n)
+    assert_routes_match(mdp, want, states)
     table = oracle_table(mdp, states)
     costs = np.concatenate([params.holding, np.ravel(params.overflow)])
     if np.all(costs == np.round(costs)):

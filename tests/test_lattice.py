@@ -54,6 +54,15 @@ def test_out_of_box_coordinates_rejected():
         lat.to_index((0, -1))
 
 
+def test_fractional_coordinates_rejected():
+    # to_index truncated 1.5 to 1; whole floats are still coordinates
+    lat = StateLattice([0, 0], [4, 4])
+    for bad in ([1.5, 0], [np.nan, 0], [np.inf, 0], [[0, 0], [2, 0.25]]):
+        with pytest.raises(ValueError, match="integers"):
+            lat.to_index(bad)
+    assert lat.to_index([2.0, 3.0]) == lat.to_index([2, 3]) == 13
+
+
 def test_index_out_of_range_rejected():
     lat = StateLattice([0], [4])
     with pytest.raises(ValueError):

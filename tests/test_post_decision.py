@@ -21,7 +21,18 @@ from numpy.testing import assert_allclose
 import _post_oracles as po
 from test_hospital_table import random_actions
 from test_chain import _assert_same_csr
-from momentagg import ControlledMdp, ResourceLimitError, RowStochasticMatrix, build_grid, chain
+from momentagg import (
+    ControlledMdp,
+    ResourceLimitError,
+    RowStochasticMatrix,
+    aggregated_policy_iteration,
+    bellman_residual,
+    build_grid,
+    build_scheme,
+    chain,
+    exact_policy_iteration,
+    induced_mrp,
+)
 from momentagg.benchmarks import (
     JrpParams,
     PostDecisionMdp,
@@ -93,7 +104,7 @@ def test_jrp_matches_parent_code(params, seed):
     policy = random_actions(rng, mdp, idx)
     W = rng.random(n) * 100.0
     assert_allclose(mdp.expect(W), po.jrp_expected_next(mdp, W), rtol=SUM_RTOL, atol=0)
-    assert np.array_equal(mdp.posts_at(idx, policy), po.jrp_posts(mdp, idx, policy))
+    assert np.array_equal(mdp.pairs_at(idx, policy)[0], po.jrp_posts(mdp, idx, policy))
     _assert_same_structure(
         mdp.kernel_rows_at(idx, policy), po.jrp_kernel_rows(mdp, idx, policy), ROW_RTOL
     )
@@ -163,7 +174,7 @@ def test_kernel_rows_match_span_expansion(name, states):
         idx = np.arange(mdp.lattice.size)
     rng = np.random.default_rng(41)
     for actions in (np.zeros(len(idx), dtype=np.int64), random_actions(rng, mdp, idx)):
-        want = RowStochasticMatrix(po.kernel_csr(mdp, mdp.posts_at(idx, actions)))
+        want = RowStochasticMatrix(po.kernel_csr(mdp, mdp.pairs_at(idx, actions)[0]))
         _assert_same_csr(mdp.kernel_rows_at(idx, actions).csr, want.csr)
 
 
@@ -199,7 +210,7 @@ def test_induced_matches_span_expansion(name):
     idx = np.arange(mdp.lattice.size)
     policy = random_actions(np.random.default_rng(43), mdp, idx)
     P, c = mdp.induced(policy)
-    want = RowStochasticMatrix(po.kernel_csr(mdp, mdp.posts_at(idx, policy)))
+    want = RowStochasticMatrix(po.kernel_csr(mdp, mdp.pairs_at(idx, policy)[0]))
     _assert_same_csr(P.csr, want.csr)
     assert np.array_equal(c, mdp.costs_at(idx, policy))
 
@@ -207,7 +218,7 @@ def test_induced_matches_span_expansion(name):
 def _span_sizes(mdp, indices, actions):
     """Entries each kernel row's span holds: the product of the per-axis
     widths from first to last nonzero."""
-    w = np.unravel_index(mdp.posts_at(indices, actions), mdp.post_shape)
+    w = np.unravel_index(mdp.pairs_at(indices, actions)[0], mdp.post_shape)
     total = np.ones(len(w[0]), dtype=np.int64)
     for w_j, K in zip(w, mdp.kernels):
         K = K.toarray() if hasattr(K, "toarray") else K
@@ -289,3 +300,93 @@ def test_solvers_reach_no_loop_fallback(build):
         assert callable(getattr(mdp, name))
     for name in ("kernel_row", "action_cost"):
         assert not hasattr(mdp, name)
+
+
+# ---------------------------------------------------------------------------
+# one checked gather
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["jrp_small", "hospital2"])
+def test_each_pair_operation_checks_its_pairs_once(name, monkeypatch):
+    # every pair operation reads its pairs from one pairs_at gather, which
+    # runs check_actions once; induced_mrp and bellman_residual leave the
+    # check to the gather they call
+    mdp = MODELS[name]()
+    n = mdp.lattice.size
+    idx = np.arange(0, n, 7)
+    policy = random_actions(np.random.default_rng(44), mdp, np.arange(n))
+    calls = []
+    check = mdp.check_actions
+
+    def spy(indices, actions):
+        calls.append(len(indices))
+        return check(indices, actions)
+
+    monkeypatch.setattr(mdp, "check_actions", spy)
+    operations = {
+        "costs_at": lambda: mdp.costs_at(idx, policy[idx]),
+        "kernel_rows_at": lambda: mdp.kernel_rows_at(idx, policy[idx]),
+        "pairs_at": lambda: mdp.pairs_at(idx, policy[idx]),
+        "induced_apply": lambda: mdp.induced_apply(policy),
+        "induced": lambda: mdp.induced(policy),
+        "induced_mrp": lambda: induced_mrp(mdp, policy),
+        "bellman_residual": lambda: bellman_residual(mdp, policy, np.ones(n)),
+    }
+    for op, call in operations.items():
+        calls.clear()
+        call()
+        assert len(calls) == 1, op
+
+
+BAD_IDS = [(0.7, "action 0.7 in state {} is not an integer"),
+           (np.nan, "action nan in state {} is not an integer"),
+           (-1, "action -1 infeasible in state {}")]
+
+
+@pytest.mark.parametrize("name", ["jrp_small", "hospital2"])
+@pytest.mark.parametrize("entry, message", BAD_IDS, ids=["fraction", "nan", "negative"])
+def test_every_gather_rejects_a_bad_action_id(name, entry, message):
+    # nothing casts an id before the check: 0.7 was once read as action 0
+    mdp = MODELS[name]()
+    n = mdp.lattice.size
+    k = n // 2
+    idx, actions = np.array([3, k]), np.array([0.0, entry])
+    for call in (mdp.pairs_at, mdp.costs_at, mdp.kernel_rows_at):
+        with pytest.raises(ValueError, match=message.format(k)):
+            call(idx, actions)
+    policy = np.zeros(n)
+    policy[k] = entry
+    for call in (mdp.induced_apply, mdp.induced):
+        with pytest.raises(ValueError, match=message.format(k)):
+            call(policy)
+    with pytest.raises(ValueError, match=message.format(k)):
+        exact_policy_iteration(mdp, policy0=policy)
+    reps = np.asarray(build_grid(mdp.lattice, 0.45).rep_indices)
+    policy_bar = np.zeros(len(reps))
+    policy_bar[5] = entry
+    with pytest.raises(ValueError, match=message.format(reps[5])):
+        aggregated_policy_iteration(mdp, build_scheme(build_grid(mdp.lattice, 0.45)),
+                                    policy0=policy_bar)
+
+
+@pytest.mark.parametrize("name", ["jrp_small", "hospital2"])
+def test_every_gather_rejects_a_state_outside_the_lattice(name):
+    # JRP's costs_at([-1], [0]) once returned a cost, and its post point -1
+    mdp = MODELS[name]()
+    n = mdp.lattice.size
+    for state in (-1, n, 2.5):
+        idx = np.array([0, state])
+        for call in (mdp.pairs_at, mdp.costs_at, mdp.kernel_rows_at):
+            with pytest.raises(ValueError, match=rf"state {state} is not in \[0, {n}\)"):
+                call(idx, np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", ["jrp_small", "hospital2"])
+def test_whole_float_ids_are_ids(name):
+    # a float policy of whole numbers is the integer policy
+    mdp = MODELS[name]()
+    n = mdp.lattice.size
+    policy = random_actions(np.random.default_rng(45), mdp, np.arange(n))
+    posts, costs = mdp.pairs_at(np.arange(n), policy)
+    got = mdp.pairs_at(np.arange(n).astype(np.float64), policy.astype(np.float64))
+    assert np.array_equal(got[0], posts) and np.array_equal(got[1], costs)
