@@ -64,18 +64,60 @@ def _bracket(axis_values, y, *, clamp):
     return lo, hi, t
 
 
+#: rows ``_factor`` writes at once: its temporaries stay a few hundred KiB
+#: (whole-array ones, 26 MB at 10^6 rows, left the heap holding enough that
+#: the 10^6-state walk's peak RSS rose from 194.9 to 198.7-200.3 MB)
+_FACTOR_BLOCK = 1 << 14
+
+
+def _factor(lo, two, t, n_cols):
+    """CSR of 1-D interpolation weights, written in row order: (lo, 1 - t)
+    in every row, then (lo + 1, t) where ``two``.  The indices are 32-bit
+    when the entries fit, as scipy would make them."""
+    n = len(lo)
+    nnz = n + int(np.count_nonzero(two))
+    itype = chain.index_dtype(max(nnz, n_cols))
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.add(two, 1, out=indptr[1:])
+    np.cumsum(indptr[1:], out=indptr[1:])
+    # each row's two candidate entries side by side, then the second
+    # dropped from the rows that have one, a block of rows at a time
+    cols, data = np.empty(nnz, dtype=itype), np.empty(nnz)
+    size = min(n, _FACTOR_BLOCK)
+    pair_cols, pair_data = np.empty((size, 2), dtype=itype), np.empty((size, 2))
+    keep = np.ones((size, 2), dtype=bool)
+    for a in range(0, n, size):
+        b = min(a + size, n)
+        m = b - a
+        pair_cols[:m, 0] = lo[a:b]
+        np.add(lo[a:b], 1, out=pair_cols[:m, 1])
+        np.subtract(1.0, t[a:b], out=pair_data[:m, 0])
+        pair_data[:m, 1] = t[a:b]
+        keep[:m, 1] = two[a:b]
+        k = keep[:m].ravel()
+        cols[indptr[a] : indptr[b]] = pair_cols[:m].ravel()[k]
+        data[indptr[a] : indptr[b]] = pair_data[:m].ravel()[k]
+    return sparse.csr_matrix((data, cols, indptr), shape=(n, n_cols))
+
+
 def _interp_factor(axis, y, clamp):
     """CSR of the 1-D interpolation weights of the reals y on one grid axis:
     1.0 at an exact grid hit, else (1 - t, t) at (lo, lo + 1)."""
     lo, hi, t = _bracket(axis, y, clamp=clamp)
-    two = lo != hi  # rows with a second entry, (hi, t)
-    indptr = np.arange(len(y) + 1)
-    indptr[1:] += np.cumsum(two)
-    first, second = indptr[:-1], indptr[:-1][two] + 1
-    cols, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
-    cols[first], data[first] = lo, 1.0 - t
-    cols[second], data[second] = hi[two], t[two]
-    return sparse.csr_matrix((data, cols, indptr), shape=(len(y), len(axis)))
+    return _factor(lo, lo != hi, t, len(axis))
+
+
+def _lattice_factor(axis):
+    """``_interp_factor`` of every integer from axis[0] to axis[-1], from
+    the gaps alone: the rows of gap k, of width g, are k's by ``np.repeat``
+    and have t = j/g at offset j, the bits ``_bracket`` computes; the last
+    value is a gap of its own.  No search, no scatter."""
+    counts = np.append(np.diff(axis), 1)
+    lo = np.repeat(np.arange(len(axis)), counts)
+    t = np.arange(axis[0], axis[-1] + 1, dtype=np.float64)
+    t -= np.repeat(axis.astype(np.float64), counts)  # j, exact
+    t /= np.repeat(counts.astype(np.float64), counts)
+    return _factor(lo, t != 0.0, t, len(axis))
 
 
 def _interp_rows(grid, values, rows, *, clamp=False):
@@ -99,25 +141,21 @@ def weights(grid, point, *, clamp=False):
     ``build_G(grid)`` bit for bit.
     """
     rows = _interp_rows(grid, np.reshape(point, (-1, 1)), [[0]] * grid.lattice.dims, clamp=clamp)
-    row = RowStochasticMatrix(rows).csr
+    row = RowStochasticMatrix._adopt(rows).csr
     return {int(c): float(w) for c, w in zip(row.indices, row.data)}
 
 
 def _axis_factors(grid):
     """The 1-D factors of G = ⊗_j G_j: each grid axis interpolating the
-    lattice's values on that axis."""
-    lat = grid.lattice
-    return [
-        _interp_factor(axis, np.arange(lo, up + 1), False)
-        for axis, lo, up in zip(grid.axes, lat.lower, lat.upper)
-    ]
+    lattice's values on that axis, which it spans end to end."""
+    return [_lattice_factor(axis) for axis in grid.axes]
 
 
 def build_G(grid):
     """N x L aggregation matrix G = ⊗_j G_j, axis 0 most significant: row
     y holds the corner weights of y, one factor row per coordinate."""
     G = functools.reduce(lambda A, B: sparse.kron(A, B, format="csr"), _axis_factors(grid))
-    return RowStochasticMatrix(G)
+    return RowStochasticMatrix._adopt(G)
 
 
 @dataclass(frozen=True)
@@ -170,7 +208,7 @@ def mstep_scheme(mrp, grid, m, *, clamp=False):
     for _ in range(int(m) - 1):
         targets = mrp.P.apply(targets)
     rows = [np.arange(len(targets))] * grid.lattice.dims
-    G = RowStochasticMatrix(_interp_rows(grid, targets.T, rows, clamp=clamp))
+    G = RowStochasticMatrix._adopt(_interp_rows(grid, targets.T, rows, clamp=clamp))
     return AggregationScheme(grid=grid, U=build_U(grid), G=G)
 
 
@@ -208,7 +246,7 @@ class SisterChain:
             # with l, so the CSR stays sorted)
             cols = np.asarray(self.scheme.grid.rep_indices)[M.indices]
             n = self.lattice.size
-            self._matrix = RowStochasticMatrix(
+            self._matrix = RowStochasticMatrix._adopt(
                 sparse.csr_matrix((M.data, cols, M.indptr), shape=(n, n))
             )
         return self._matrix

@@ -447,7 +447,8 @@ class ActionTable:
 #: tables make MB-sized temporaries: hospital3's costs took 11.6 MB of
 #: products, and its full sweep 4.3 ms when an earlier large free had
 #: raised glibc's mmap and trim thresholds, 10 ms when not (page faults on
-#: every temporary); blocks stay cache-sized and reused
+#: every temporary); blocks stay cache-sized, and a sweep's blocks work in
+#: buffers kept from sweep to sweep (``_sweep_buffers``)
 _TABLE_BLOCK = 1 << 15
 
 
@@ -551,6 +552,7 @@ class HospitalOverflowMdp(PostDecisionMdp):
         self._pairs = [(i, j) for i in range(J) for j in range(J) if i != j]
         self._table = None
         self._table_lock = threading.Lock()
+        self._sweep = threading.local()
 
     # -- action table ------------------------------------------------------------
 
@@ -675,6 +677,20 @@ class HospitalOverflowMdp(PostDecisionMdp):
         rows = self.table.indptr[indices] + actions
         return self.table.posts[rows], self.table.costs[rows]
 
+    def _sweep_buffers(self, size):
+        """This thread's entry buffers for ``greedy_at``, of at least
+        ``size`` entries: an arange, two int64, two float64 and one bool
+        buffer.  They are kept from sweep to sweep, since buffers made once
+        per sweep were fresh pages on every sweep whenever glibc's mmap and
+        trim thresholds were low (hospital3: 534 page faults a sweep)."""
+        buffers = getattr(self._sweep, "buffers", None)
+        if buffers is None or len(buffers[0]) < size:
+            buffers = self._sweep.buffers = (
+                np.arange(size), np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64),
+                np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+            )
+        return buffers
+
     def greedy_at(self, indices, W):
         t = self.table
         indices = np.asarray(indices, dtype=np.int64)
@@ -682,16 +698,30 @@ class HospitalOverflowMdp(PostDecisionMdp):
         EW = self.expect(W).ravel()
         actions, qvals = np.empty(len(indices), dtype=np.int64), np.empty(len(indices))
         ends = np.concatenate(([0], np.cumsum(counts)))
-        for s, e in chain.row_blocks(ends, _TABLE_BLOCK):
+        blocks = chain.row_blocks(ends, _TABLE_BLOCK)
+        size = max((int(ends[e] - ends[s]) for s, e in blocks), default=0)
+        ar, rows, pos, q, other, hit = self._sweep_buffers(size)
+        # the gathers' indices are in range by construction; mode "clip"
+        # writes to ``out`` directly, where "raise" would buffer it
+        for s, e in blocks:
             k = counts[s:e]
-            sel = _ragged_arange(t.indptr[indices[s:e]], k)
-            q = t.costs[sel] + self.discount * EW[t.posts[sel]]
-            # segment argmin keeping the first minimum (the lowest action id)
+            m = int(ends[e] - ends[s])
             seg = np.cumsum(k) - k
-            qmin = np.minimum.reduceat(q, seg)
-            pos = np.where(q == np.repeat(qmin, k), np.arange(len(q)), len(q))
-            first = np.minimum.reduceat(pos, seg)
-            actions[s:e], qvals[s:e] = first - seg, q[first]
+            owner = np.repeat(np.arange(e - s), k)  # the one temporary of m entries
+            r = np.take(t.indptr[indices[s:e]] - seg, owner, out=rows[:m], mode="clip")
+            r += ar[:m]
+            qb, ew = np.take(t.costs, r, out=q[:m], mode="clip"), other[:m]
+            np.take(EW, np.take(t.posts, r, out=pos[:m], mode="clip"), out=ew, mode="clip")
+            ew *= self.discount
+            qb += ew
+            # segment argmin keeping the first minimum (the lowest action id)
+            qmin = np.minimum.reduceat(qb, seg)
+            np.equal(qb, np.take(qmin, owner, out=ew, mode="clip"), out=hit[:m])
+            at = pos[:m]  # each entry's position if it hits its minimum, else m
+            at.fill(m)
+            np.copyto(at, ar[:m], where=hit[:m])
+            first = np.minimum.reduceat(at, seg)
+            actions[s:e], qvals[s:e] = first - seg, qb[first]
         return actions, qvals
 
 
@@ -715,21 +745,20 @@ def _end_and_pair_rows(size, first, last, low, high, up):
     duplicates, and it sums each row in the same order as the triplet
     form of the same chain.
     """
-    itype = np.int32 if size < 2**31 else np.int64
-    indptr = np.empty(size + 1, dtype=itype)
-    indptr[0] = 0
-    indptr[1:-1] = np.arange(1, 2 * size - 2, 2, dtype=itype)
-    indptr[-1] = 2 * size - 2
-    indices = np.empty(2 * size - 2, dtype=itype)
+    nnz = 2 * size - 2
+    itype = chain.index_dtype(nnz)  # indptr runs to nnz, past size
+    indptr = np.arange(-1, nnz + 2, 2, dtype=itype)  # -1, 1, 3, ..., nnz + 1
+    indptr[0], indptr[-1] = 0, nnz
+    indices = np.empty(nnz, dtype=itype)
     indices[0], indices[-1] = first, last
     indices[1:-1:2] = low
     indices[2:-1:2] = high
-    data = np.empty(2 * size - 2)
+    data = np.empty(nnz)
     data[0] = data[-1] = 1.0
-    data[1:-1:2] = 1.0 - up
+    np.subtract(1.0, up, out=data[1:-1:2])
     data[2:-1:2] = up
     M = sparse.csr_matrix((data, indices, indptr), shape=(size, size))
-    return RowStochasticMatrix(M)
+    return RowStochasticMatrix._adopt(M)
 
 
 def build_simple_rw(n, absorbing=True, *, alpha=0.9):
@@ -771,9 +800,10 @@ def build_reflecting_rw(n, seed, *, alpha=0.95):
     if n < 3:
         raise ValueError("need n >= 3")
     lattice = StateLattice([1], [n])
-    up = 0.5 - 0.1 * np.random.default_rng(seed).random(n - 2)
-    inner = np.arange(1, n - 1)
-    P = _end_and_pair_rows(n, 1, n - 2, inner - 1, inner + 1, up)
+    up = np.random.default_rng(seed).random(n - 2)
+    up *= 0.1
+    np.subtract(0.5, up, out=up)  # 0.5 - 0.1 * uniform, in place
+    P = _end_and_pair_rows(n, 1, n - 2, np.arange(0, n - 2), np.arange(2, n), up)
     cost = np.arange(1, n + 1, dtype=np.float64) ** 2
     return MarkovRewardProcess(lattice, P, cost, alpha)
 
@@ -802,7 +832,8 @@ def load_mrp(path):
     with np.load(path) as z:
         lattice = StateLattice(z["lower"], z["upper"])
         n = lattice.size
-        P = RowStochasticMatrix(
+        # the arrays are read from the file, and held by no caller
+        P = RowStochasticMatrix._adopt(
             sparse.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(n, n))
         )
         return MarkovRewardProcess(lattice, P, z["cost"], float(z["discount"][0]))

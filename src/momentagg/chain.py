@@ -81,7 +81,8 @@ class RowStochasticMatrix:
 
     Entries below ``PROB_DROP`` are dropped and rows renormalized; rows
     must sum to one within ``ROWSUM_TOL`` before renormalization and
-    contain no negative mass.  Column indices are kept sorted.
+    contain no negative mass.  Column indices are kept sorted.  A CSR
+    argument is never written to, nor are its arrays kept.
 
     Parameters
     ----------
@@ -91,9 +92,20 @@ class RowStochasticMatrix:
     __slots__ = ("csr",)
 
     def __init__(self, matrix):
-        M = sparse.csr_matrix(matrix, dtype=np.float64)
         # only CSR input can lend M its arrays; they are never written to
         shared = sparse.issparse(matrix) and matrix.format == "csr"
+        self._validate(sparse.csr_matrix(matrix, dtype=np.float64), shared)
+
+    @classmethod
+    def _adopt(cls, matrix):
+        """The package's own route for a CSR it has just built and that no
+        caller holds: the constructor's checks, with the arrays kept (and
+        rescaled in place) instead of copied."""
+        P = cls.__new__(cls)
+        P._validate(sparse.csr_matrix(matrix, dtype=np.float64), False)
+        return P
+
+    def _validate(self, M, shared):
         if not M.has_canonical_format:
             # sort columns and sum duplicates, in a copy
             M = M.copy()
@@ -107,7 +119,8 @@ class RowStochasticMatrix:
         # one pass over the entries, segment by segment as scipy's sum does;
         # reduceat would read an empty segment as its next entry
         sums = np.add.reduceat(M.data, M.indptr[:-1])
-        if not np.all(np.abs(sums - 1.0) <= ROWSUM_TOL):
+        exact = np.all(sums == 1.0)  # then no deviation to measure
+        if not (exact or np.all(np.abs(sums - 1.0) <= ROWSUM_TOL)):
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValueError(f"rows must sum to 1 (worst deviation {worst:.3e})")
         data, indices, indptr = M.data, M.indices, M.indptr
@@ -119,10 +132,11 @@ class RowStochasticMatrix:
             data, indices, indptr = M.data, M.indices, M.indptr
             # no row empties: a row summing to about one keeps its largest entry
             sums = np.add.reduceat(data, indptr[:-1])
+            exact = np.all(sums == 1.0)
             shared = False
         # renormalize exactly (post-drop sums are within n*1e-15 of one);
         # rows that already sum to exactly one would be multiplied by ones
-        scale = None if np.all(sums == 1.0) else np.repeat(1.0 / sums, np.diff(indptr))
+        scale = None if exact else np.repeat(1.0 / sums, np.diff(indptr))
         if shared:
             data = data.copy() if scale is None else data * scale
             indices, indptr = indices.copy(), indptr.copy()
@@ -170,7 +184,8 @@ class RowStochasticMatrix:
 
     def take_rows(self, indices):
         """Row slice as a new RowStochasticMatrix (e.g. the L x N P-bar)."""
-        return RowStochasticMatrix(self.csr[np.asarray(indices)])
+        # scipy's row indexing returns new arrays
+        return RowStochasticMatrix._adopt(self.csr[np.asarray(indices)])
 
     def toarray(self):
         return self.csr.toarray()
@@ -197,7 +212,7 @@ class RowStochasticMatrix:
         for _ in range(int(m) - 1):
             check_product_budget(out, self.csr, "the matrix power")
             out = out @ self.csr
-        return RowStochasticMatrix(out)
+        return RowStochasticMatrix._adopt(out)
 
     def __repr__(self):
         return f"RowStochasticMatrix(shape={self.shape}, nnz={self.nnz})"
@@ -211,6 +226,12 @@ def check_product_budget(A, B, what):
     nnz = int(np.minimum(np.diff(reach), B.shape[1]).sum())
     if nnz > NNZ_BUDGET:
         raise ResourceLimitError(f"{what} needs up to {nnz} entries (budget {NNZ_BUDGET})")
+
+
+def index_dtype(bound):
+    """The index dtype of a CSR whose shape, columns and entry count all
+    stay within ``bound``: int32 when it fits, as scipy would downcast to."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
 def row_blocks(indptr, budget):
@@ -234,7 +255,7 @@ def row_kron(factors, rows):
     so the CSR is canonical as built."""
     n_cols = int(np.prod([F.shape[1] for F in factors]))
     # 32-bit columns when they fit (scipy would downcast them anyway)
-    itype = np.int32 if n_cols < 2**31 else np.int64
+    itype = index_dtype(n_cols)
     head = factors[0][np.asarray(rows[0])]  # axis 0 alone is a row gather
     cols, vals = head.indices.astype(itype, copy=False), head.data
     sizes = np.diff(head.indptr).astype(np.int64)  # entries per row so far
@@ -320,7 +341,7 @@ class KronRows:
 
     @cached_property
     def matrix(self):
-        return RowStochasticMatrix(row_kron(self._runs, self.rows))
+        return RowStochasticMatrix._adopt(row_kron(self._runs, self.rows))
 
     @property
     def csr(self):

@@ -73,8 +73,9 @@ def interpolation_residuals(V, scheme):
     """|V - GV| per state and its sup, where (GV)(y) interpolates V from
     the representative states through the aggregation weights."""
     V = np.asarray(V, dtype=np.float64)
-    interpolated = scheme.G.apply(V[scheme.grid.rep_indices])
-    residual = np.abs(V - interpolated)
+    residual = scheme.G.apply(V[scheme.grid.rep_indices])
+    residual -= V
+    np.abs(residual, out=residual)
     return residual, float(np.max(residual))
 
 
@@ -117,7 +118,9 @@ def evaluate(mrp, scheme, *, compute_exact=False, V_exact=None, tol=1e-10):
     t1 = time.perf_counter()
     R = _solve(PbarG, c_bar, mrp.discount)
     t2 = time.perf_counter()
-    V_agg = mrp.cost + mrp.discount * mrp.P.apply(scheme.G.apply(R))
+    V_agg = mrp.P.apply(scheme.G.apply(R))  # c + alpha P G R in place: one N-vector, not three
+    V_agg *= mrp.discount
+    V_agg += mrp.cost
     t3 = time.perf_counter()
     runtimes = {
         "preprocess": (t1 - t0) * 1000.0,

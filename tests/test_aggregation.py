@@ -4,6 +4,7 @@ loop they replaced, the lifted sister chain, and the moment-matching
 diagnostics."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from momentagg import (
     second_moment_gap,
     weights,
 )
-from momentagg.aggregation import _bracket, _interp_rows
+from momentagg.aggregation import _bracket, _interp_factor, _interp_rows, _lattice_factor
 from momentagg.benchmarks import (
     build_hospital,
     build_jrp,
@@ -232,6 +233,15 @@ def test_interp_rows_match_corner_loop_and_dense_kron(case):
         dense.append(D)
     kron = np.stack([functools.reduce(np.kron, [D[i] for D in dense]) for i in range(n)])
     assert np.array_equal(got.toarray(), kron)
+    # G's factors, from each axis's gaps alone, are the general path's at
+    # every lattice value, and so is G at every lattice state
+    for axis in grid.axes:
+        _assert_same_csr(
+            _lattice_factor(axis), _interp_factor(axis, np.arange(axis[0], axis[-1] + 1), False)
+        )
+    states = grid.lattice.all_states()
+    general = _interp_rows(grid, states.T, [np.arange(len(states))] * d)
+    _assert_same_csr(build_G(grid).csr, RowStochasticMatrix(general).csr)
 
 
 LATTICES = {
@@ -497,6 +507,7 @@ def test_mstep_scheme_m1_equals_standard():
     hospital, jrp = build_hospital(hospital_2ward()), build_jrp(jrp_small())
     for mrp in (
         build_reflecting_rw(30, seed=6),
+        build_reflecting_rw(10**6, seed=6),  # the benchmark's 1-D lattice
         induced_mrp(hospital, np.zeros(hospital.lattice.size, dtype=np.int64)),
         induced_mrp(jrp, np.zeros(jrp.lattice.size, dtype=np.int64)),
     ):
@@ -509,6 +520,20 @@ def test_mstep_scheme_m1_equals_standard():
         rows = [np.arange(len(states))] * grid.lattice.dims
         general = RowStochasticMatrix(_interp_rows(grid, states.T, rows))
         _assert_same_csr(general.csr, standard.G.csr)
+
+
+def test_scheme_memory_on_a_million_state_lattice():
+    # the 10^6-state walk's lattice: G's arrays are 26.7 MiB, and build_scheme
+    # peaked at 43.6 MiB (92.4 MiB when each factor was bracketed by search
+    # and scattered, and the constructor copied G); bound at +25 %
+    grid = build_grid(StateLattice([1], [10**6]), 0.45)
+    tracemalloc.start()
+    try:
+        build_scheme(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 43.6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_product_scheme_factors_multiply_to_G():

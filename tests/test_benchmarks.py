@@ -594,6 +594,17 @@ def test_two_point_chain_matches_loop_builder(n):
     _assert_same_process(build_two_point_chain(n), _loop_two_point_chain(n))
 
 
+def test_walk_index_dtype_follows_the_entry_count(monkeypatch):
+    # a walk's indptr runs to its 2 size - 2 entries, past size: int32
+    # would wrap for 2^30 < size < 2^31 (a walk too large to build here)
+    assert chain.index_dtype(2**31 - 1) is np.int32
+    assert chain.index_dtype(2**31) is np.int64
+    bounds = []
+    monkeypatch.setattr(chain, "index_dtype", lambda bound: bounds.append(bound) or np.int64)
+    build_reflecting_rw(50, seed=0)
+    assert bounds == [98]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 500), seed=st.integers(0, 2**32 - 1))
 def test_walk_builders_match_loop_builders_sweep(n, seed):

@@ -105,15 +105,14 @@ def test_constructor_matches_reference_on_benchmark_rows(monkeypatch, instance):
     class Capturing(RowStochasticMatrix):
         __slots__ = ()
 
-        def __init__(self, matrix):
+        @classmethod
+        def _adopt(cls, matrix):
+            # the rows are built for the matrix alone, which keeps (and may
+            # rescale) their arrays: the reference is taken before
             expect = _reference_constructor(matrix)
-            before = sparse.csr_matrix(matrix, copy=True)
-            super().__init__(matrix)
-            after = sparse.csr_matrix(matrix)
-            seen.append((self.csr, expect))
-            # the input is left as it was
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(after, name), getattr(before, name))
+            P = super()._adopt(matrix)
+            seen.append((P.csr, expect))
+            return P
 
     monkeypatch.setattr(chain, "RowStochasticMatrix", Capturing)
     rng = np.random.default_rng(17)
@@ -198,6 +197,32 @@ def test_constructor_copies_exact_rows_without_rescaling(which):
         assert not np.shares_memory(getattr(P.csr, name), getattr(M, name))
     copies = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
     assert peak <= 1.5 * copies, f"peak {peak} bytes for {copies} bytes of copies"
+
+
+def test_induced_kernel_is_adopted_without_copies():
+    # jrp_small's induced kernel as KronRows.matrix builds it: the package's
+    # own CSR keeps its arrays, checked and rescaled in place; the copies
+    # the public constructor makes took the peak to 1.69 times the arrays
+    # (0.76 without them: the row sums and the scale)
+    mdp = build_jrp(jrp_small())
+    n = mdp.lattice.size
+    posts = mdp.pairs_at(np.arange(n), np.zeros(n, dtype=np.int64))[0]
+    rows = chain.KronRows(mdp.kernels, np.unravel_index(posts, mdp.post_shape))
+    M = chain.row_kron(rows._runs, rows.rows)
+    want = RowStochasticMatrix(M).csr
+    assert not np.all(np.add.reduceat(M.data, M.indptr[:-1]) == 1.0)  # it rescales
+    copies = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    tracemalloc.start()
+    try:
+        P = RowStochasticMatrix._adopt(M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_csr(P.csr, want)
+    _assert_same_csr(rows.matrix.csr, want)
+    for name in ("indptr", "indices", "data"):
+        assert np.shares_memory(getattr(P.csr, name), getattr(M, name))
+    assert peak <= copies, f"peak {peak} bytes for {copies} bytes of arrays"
 
 
 def test_matrix_rejects_negative_mass():

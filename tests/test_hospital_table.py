@@ -10,8 +10,10 @@ and the routings ``_actions`` expands again must equal that build's routes.
 """
 
 import dataclasses
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -365,6 +367,34 @@ def test_table_blocks_do_not_change_the_table_or_greedy(monkeypatch):
         assert arr.tobytes() == getattr(want_table, name).tobytes(), name
     for got, ref in zip(small.greedy_at(idx, W), want):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_greedy_buffers_are_kept_across_sweeps(monkeypatch):
+    # a model's sweeps reuse their thread's buffers, grown to the largest
+    # block yet: small and large sweeps in turn, in one thread or racing in
+    # several, give the bytes that sweeps on fresh models give
+    monkeypatch.setattr(benchmarks, "_TABLE_BLOCK", 64)
+    n = build_hospital(hospital_2ward()).lattice.size
+    W = np.random.default_rng(26).integers(0, 4, n).astype(np.float64)  # ties
+    part = np.random.default_rng(27).choice(n, 20)
+    full = np.arange(n)[::-1]
+    want = {len(idx): build_hospital(hospital_2ward()).greedy_at(idx, W) for idx in (part, full)}
+    mdp = build_hospital(hospital_2ward())
+
+    def sweeps():
+        for idx in (part, full, part, full):
+            for got, ref in zip(mdp.greedy_at(idx, W), want[len(idx)]):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    sweeps()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for future in [pool.submit(sweeps) for _ in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_table_is_built_on_first_use():
