@@ -199,6 +199,11 @@ def jrp_large():
     )
 
 
+#: states a JRP greedy sweep bounds at once, so that its per-state arrays,
+#: and the lists its corner loop walks, stay small on full sweeps
+_SCAN_BLOCK = 1 << 12
+
+
 class JointReplenishmentMdp(PostDecisionMdp):
     """Joint replenishment as a controlled MDP on the inventory lattice.
 
@@ -253,6 +258,13 @@ class JointReplenishmentMdp(PostDecisionMdp):
         self._order_costs = self._trucks.copy()
         self._order_costs[1:, :] += params.minor_cost[0]
         self._order_costs[:, 1:] += params.minor_cost[1]
+        # truck floors: _floors[t] is the least order cost of any q needing
+        # more than t trucks, and +inf at the most any q of the box needs;
+        # read off the table itself, so it bounds any costs, zero ones too
+        bands = np.ceil((q1 + q2) / params.truck_capacity).astype(np.int64)
+        least = np.full(int(bands[-1, -1]) + 1, np.inf)
+        np.minimum.at(least, bands.ravel(), self._order_costs.ravel())
+        self._floors = np.append(np.minimum.accumulate(least[:0:-1])[::-1], np.inf)
         i1, i2 = np.divmod(np.arange(self.lattice.size), self._n2)
         self._counts = (nz1 - i1) * (nz2 - i2)  # every (q1, q2) within the post box
         self._counts.setflags(write=False)
@@ -291,21 +303,45 @@ class JointReplenishmentMdp(PostDecisionMdp):
         """Greedy actions and Q-values at ``indices`` against W.
 
         The post-order value stage(z) + alpha E[W | z] is tabulated once per
-        call; state i's q-block is its corner from z = i on plus the order
-        costs, so each state costs one add and one argmin, whose first
+        call, with its suffix minimum S(z) over the post points z' >= z.
+        State i's q-block is its corner of that table from z = i on plus the
+        order costs.  Any q needing more than t trucks costs at least the
+        floor F[t], and then its value is at least fl(S(i) + F[t]); where
+        that exceeds the value of ordering nothing, the minimum and all its
+        ties lie in the q1, q2 <= tC corner, so each state adds and argmins
+        that corner only, at the least such t (none when t = 0, the whole
+        block when no t qualifies, as for a non-finite W).  Its first
         minimum is the lowest action id.
         """
         EW = self.expect(W)
         nz1, nz2 = EW.shape
         post = (self._stage[0][:, None] + self._stage[1][None, :]) + self.discount * EW
+        suffix = np.minimum.accumulate(post[::-1, ::-1], axis=0)
+        np.minimum.accumulate(suffix, axis=1, out=suffix)
+        suffix = suffix[::-1, ::-1]
+        oc, cap = self._order_costs, self.params.truck_capacity
+        indices = np.asarray(indices, dtype=np.int64)
         actions = np.zeros(len(indices), dtype=np.int64)
         qvals = np.empty(len(indices))
-        for k, i in enumerate(np.asarray(indices)):
-            i1, i2 = self._offsets(i)
-            block = post[i1:, i2:] + self._order_costs[: nz1 - i1, : nz2 - i2]
-            a = int(np.argmin(block))
-            actions[k] = a
-            qvals[k] = block.flat[a]
+        buf = np.empty(post.size)
+        for s in range(0, len(indices), _SCAN_BLOCK):
+            i1, i2 = np.divmod(indices[s : s + _SCAN_BLOCK], self._n2)
+            q = qvals[s : s + _SCAN_BLOCK]
+            np.add(post[i1, i2], oc[0, 0], out=q)  # ordering nothing
+            S, trucks = suffix[i1, i2], np.zeros(len(q), dtype=np.int64)
+            for F in self._floors[:-1]:
+                trucks += ~(S + F > q)
+            scan = np.flatnonzero(trucks)
+            i1, i2, span = i1[scan], i2[scan], trucks[scan] * cap + 1
+            for k, a1, a2, h, w in zip(
+                (scan + s).tolist(), i1.tolist(), i2.tolist(),
+                np.minimum(span, nz1 - i1).tolist(), np.minimum(span, nz2 - i2).tolist(),
+            ):
+                block = buf[: h * w].reshape(h, w)
+                np.add(post[a1 : a1 + h, a2 : a2 + w], oc[:h, :w], out=block)
+                b = block.argmin()
+                actions[k] = (b // w) * (nz2 - a2) + b % w
+                qvals[k] = buf[b]
         return actions, qvals
 
 

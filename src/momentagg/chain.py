@@ -287,11 +287,17 @@ def row_kron(factors, rows):
 
 def contract(mats, X):
     """(⊗_j M_j) X for an array X: one product with ``mats[j]`` along axis
-    j, axis 0 first, sparse M_j kept sparse; the result is C-contiguous."""
+    j, axis 0 first, sparse M_j kept sparse; the result is C-contiguous.
+
+    Axis j is brought to the front and put back by ``transpose`` with
+    fixed permutations, the views ``np.moveaxis`` makes without its checks,
+    so each product sees the same operands."""
+    d = X.ndim
     for j, M in enumerate(mats):
-        X = np.moveaxis(X, j, 0)
+        X = X.transpose(j, *range(j), *range(j + 1, d))
         rest = X.shape[1:]
-        X = np.moveaxis((M @ X.reshape(len(X), -1)).reshape(M.shape[0], *rest), 0, j)
+        X = (M @ X.reshape(len(X), -1)).reshape(M.shape[0], *rest)
+        X = X.transpose(*range(1, j + 1), 0, *range(j + 1, d))
     return np.ascontiguousarray(X)
 
 

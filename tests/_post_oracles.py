@@ -1,4 +1,5 @@
 """The model code that ``PostDecisionMdp``, the JRP post-order greedy table,
+its truck-bounded scan,
 the per-model bulk operations and the row-wise Kronecker builder replaced,
 kept as test oracles.
 
@@ -12,12 +13,14 @@ materializing defaults.
 Each family function is an old per-class method, written against the model's
 parameters, kernels and cost tables: the joint replenishment COO row
 builder, expected-next contraction (last axis first), scalar cost,
-per-state greedy loop and post-order arithmetic, and the hospital's
+per-state greedy loop, whole-block greedy scan over the post-order table
+and post-order arithmetic, and the hospital's
 tensor contraction (axis 0 first), induced chain and action-table build
 (``hospital_table``: every state expanded over every ward pair, 2-D row
 gathers, with the routes column the table no longer stores).  The hospital's kernel rows are checked against dense outer
-products in ``test_hospital_table``.  Only the greedy loop calls the shared base
-class, for ``expect``, so that it checks the q-block arithmetic alone.
+products in ``test_hospital_table``.  Only the two JRP greedy oracles call the
+shared base class, for ``expect``, so that they check the q-block arithmetic
+alone.
 
 The two builders that ``chain.row_kron`` replaced close the module: the
 corner loop that summed 2^d multilinear corners in a COO matrix
@@ -189,6 +192,24 @@ def jrp_greedy_loop(mdp, indices, W):
         )
         block[1:, :] += k1
         block[:, 1:] += k2
+        a = int(np.argmin(block))
+        actions[k] = a
+        qvals[k] = block.flat[a]
+    return actions, qvals
+
+
+def jrp_greedy_corners(mdp, indices, W):
+    """Greedy actions and Q-values, each state scanning its whole q-block:
+    its corner of the post-order value table from z = i on plus the order
+    costs, one add and one argmin per state."""
+    EW = mdp.expect(W)
+    nz1, nz2 = EW.shape
+    post = (mdp._stage[0][:, None] + mdp._stage[1][None, :]) + mdp.discount * EW
+    actions = np.zeros(len(indices), dtype=np.int64)
+    qvals = np.empty(len(indices))
+    for k, i in enumerate(np.asarray(indices)):
+        i1, i2 = mdp._offsets(i)
+        block = post[i1:, i2:] + mdp._order_costs[: nz1 - i1, : nz2 - i2]
         a = int(np.argmin(block))
         actions[k] = a
         qvals[k] = block.flat[a]

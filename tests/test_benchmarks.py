@@ -1,6 +1,7 @@
 """Benchmark-instance tests: kernel rows and expected costs against
 brute-force enumeration oracles, action decoding, and the walk builders."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -206,13 +207,19 @@ _GREEDY_W = {
 }
 
 
+def _assert_same_greedy(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize("w_kind", list(_GREEDY_W))
 @pytest.mark.parametrize(
     "make", [lambda: build_jrp(jrp_small()), lambda: _jrp_tiny(widen=True)],
     ids=["jrp_small", "widened"],
 )
 def test_jrp_greedy_matches_generic_sweep(make, w_kind):
-    # every state against the per-state loop the post-order table replaced
+    # every state bit for bit against the whole-block scan the truck bound
+    # replaced, against the per-state loop the post-order table replaced
     # (the table adds the order costs in one rounding where the loop takes
     # three), and states with few actions against the generic sweep
     mdp = make()
@@ -220,6 +227,7 @@ def test_jrp_greedy_matches_generic_sweep(make, w_kind):
     W = _GREEDY_W[w_kind](mdp, rng)
     idx = np.arange(mdp.lattice.size)
     actions, qvals = mdp.greedy_at(idx, W)
+    _assert_same_greedy((actions, qvals), po.jrp_greedy_corners(mdp, idx, W))
     ref_actions, ref_qvals = po.jrp_greedy_loop(mdp, idx, W)
     assert np.array_equal(actions, ref_actions)
     assert np.all(np.abs(qvals - ref_qvals) <= 2 * np.spacing(np.abs(ref_qvals)))
@@ -227,6 +235,69 @@ def test_jrp_greedy_matches_generic_sweep(make, w_kind):
     gen_actions, gen_qvals = po.greedy_at(mdp, few, W)
     assert np.array_equal(actions[few], gen_actions)
     assert_allclose(qvals[few], gen_qvals, rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("w_kind", ["zeros", "api"])
+def test_jrp_large_greedy_equals_whole_block_scan(w_kind):
+    # states that scan nothing: about a third at the converged W, where the
+    # rest scan corners of up to nine trucks, and more than half at W = 0
+    mdp = build_jrp(jrp_large())
+    W = _GREEDY_W[w_kind](mdp, np.random.default_rng(9))
+    idx = np.arange(mdp.lattice.size)
+    _assert_same_greedy(mdp.greedy_at(idx, W), po.jrp_greedy_corners(mdp, idx, W))
+
+
+def test_jrp_greedy_on_any_index_set_equals_whole_block_scan():
+    mdp = build_jrp(jrp_small())
+    rng = np.random.default_rng(14)
+    n = mdp.lattice.size
+    for W in (_converged_W(mdp), rng.random(n) * 500.0):
+        for idx in (
+            rng.permutation(n),
+            rng.integers(0, n, 3 * n),  # repeated states, across sweep blocks
+            np.array([n - 1, 0, n - 1, 7]),
+            np.zeros(0, dtype=np.int64),
+        ):
+            got = mdp.greedy_at(idx, W)
+            assert got[0].shape == got[1].shape == idx.shape
+            _assert_same_greedy(got, po.jrp_greedy_corners(mdp, idx, W))
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [
+        dict(minor_cost=(0.0, 10.0)),
+        dict(major_cost=0.0),
+        # no floor below the most trucks is above zero: every state scans
+        # its whole block
+        dict(minor_cost=(0.0, 0.0), major_cost=0.0),
+    ],
+    ids=["minor0", "major0", "both0"],
+)
+def test_jrp_greedy_with_zero_order_costs_equals_whole_block_scan(costs):
+    # the floors come from the order-cost table, so they stay lower bounds
+    # when a minor or the major cost is zero
+    mdp = build_jrp(dataclasses.replace(jrp_small(), **costs))
+    rng = np.random.default_rng(15)
+    idx = np.arange(mdp.lattice.size)
+    for W in (_converged_W(mdp), 100.0 * rng.integers(0, 4, len(idx))):
+        _assert_same_greedy(mdp.greedy_at(idx, W), po.jrp_greedy_corners(mdp, idx, W))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [jrp_small, jrp_large, lambda: dataclasses.replace(jrp_small(), major_cost=0.0)],
+    ids=["jrp_small", "jrp_large", "major0"],
+)
+def test_jrp_truck_floors_are_least_costs_beyond_each_truck_count(make):
+    mdp = build_jrp(make())
+    C = mdp.params.truck_capacity
+    q1, q2 = np.indices(mdp._order_costs.shape)
+    trucks = -((q1 + q2) // -C)
+    T = trucks.max()
+    assert len(mdp._floors) == T + 1 and mdp._floors[T] == np.inf
+    for t in range(T):
+        assert mdp._floors[t] == mdp._order_costs[trucks > t].min()
 
 
 @pytest.mark.parametrize("widen", [False, True])
