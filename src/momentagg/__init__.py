@@ -45,7 +45,6 @@ from .chain import (
     verify_mstep_identity,
 )
 from .control import (
-    BellmanResidualReport,
     ControlledMdp,
     GapReport,
     PiReport,
@@ -115,7 +114,6 @@ __all__ = [
     "interpolation_bound_check",
     "ControlledMdp",
     "PiReport",
-    "BellmanResidualReport",
     "GapReport",
     "induced_mrp",
     "exact_policy_iteration",

@@ -97,35 +97,42 @@ class PostDecisionMdp(ControlledMdp):
     def costs_at(self, indices, actions):
         return self.pairs_at(indices, actions)[1]
 
-    def kernel_rows_at(self, indices, actions):
-        """The pairs' kernel rows as ``chain.KronRows`` of the kernels."""
-        posts = self.pairs_at(indices, actions)[0]
-        return chain.KronRows(self.kernels, np.unravel_index(posts, self.post_shape))
+    def _rows(self, indices, actions):
+        """The pairs' kernel rows, as ``chain.KronRows`` of the kernels at
+        their post points, and their costs, from one ``pairs_at`` gather."""
+        posts, costs = self.pairs_at(indices, actions)
+        return chain.KronRows(self.kernels, posts), costs
 
-    # induced and induced_apply call pairs_at itself: a caller may wrap
-    # kernel_rows_at and costs_at on the instance, for aggregated PI's alone
+    def kernel_rows_at(self, indices, actions):
+        return self._rows(indices, actions)[0]
+
+    # induced and induced_apply read _rows: a caller may wrap kernel_rows_at
+    # and costs_at on the instance, for aggregated PI's alone
 
     def induced_apply(self, policy):
-        posts, c = self.pairs_at(*_full_policy(self, policy))
-
-        def apply_P(v):
-            return self.expect(v).ravel()[posts]
-
-        return apply_P, c
+        rows, c = self._rows(*_full_policy(self, policy))
+        return rows.apply, c
 
     def induced(self, policy):
         """(P, c) of the induced chain, refused before any kernel row is
-        built when its rows' runs hold more than ``chain.NNZ_BUDGET``
-        entries."""
-        posts, c = self.pairs_at(*_full_policy(self, policy))
-        rows = chain.KronRows(self.kernels, np.unravel_index(posts, self.post_shape))
+        built when its rows hold more than ``chain.NNZ_BUDGET`` entries."""
+        rows, c = self._rows(*_full_policy(self, policy))
         nnz = int(rows.sizes().sum())
         if nnz > chain.NNZ_BUDGET:
             raise ResourceLimitError(
-                f"materializing the induced kernel of {len(posts)} states needs up "
+                f"materializing the induced kernel of {len(c)} states needs up "
                 f"to {nnz} entries (budget {chain.NNZ_BUDGET}); use induced_apply instead"
             )
         return rows.matrix, c
+
+
+def _check_params(discount, *costs):
+    """ValueError unless the discount lies in (0, 1) and every entry of
+    ``costs`` is finite and nonnegative, as the solvers require."""
+    if not (0.0 < discount < 1.0):
+        raise ValueError("discount must lie in (0, 1)")
+    if not all(0.0 <= x < np.inf for c in costs for x in np.ravel(c)):  # NaN fails
+        raise ValueError("costs must be finite and nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +162,17 @@ class JrpParams:
     widen_orders: bool = False
 
     def __post_init__(self):
-        if len(self.demand_low) != 2 or len(self.demand_high) != 2:
+        per_item = (self.demand_low, self.demand_high, self.holding, self.backorder,
+                    self.minor_cost, self.lower, self.upper)
+        if any(len(values) != 2 for values in per_item):
             raise ValueError("two items expected")
         for lo, hi in zip(self.demand_low, self.demand_high):
             if lo < 0 or lo != int(lo) or hi != int(hi) or hi < lo:
                 raise ValueError("demand bounds must be nonnegative integers")
         if self.truck_capacity < 1:
             raise ValueError("truck capacity must be >= 1")
+        _check_params(self.discount, self.holding, self.backorder, self.minor_cost,
+                      self.major_cost)
 
 
 def jrp_small():
@@ -380,15 +391,16 @@ class HospitalParams:
             == len(self.caps)
             == len(self.overflow)
             == J
-        ):
-            raise ValueError("per-ward parameter lengths disagree")
+        ) or any(len(row) != J for row in self.overflow):
+            raise ValueError("per-ward parameter lengths disagree (overflow is J x J)")
         for lam, p, cap, beds in zip(
             self.arrival_rates, self.service_probs, self.caps, self.beds
         ):
-            if lam <= 0 or not (0 < p <= 1):
-                raise ValueError("need arrival rate > 0 and service prob in (0,1]")
-            if cap < beds:
-                raise ValueError("occupancy cap below bed count")
+            if not (0 < lam < np.inf and 0 < p <= 1):
+                raise ValueError("need a finite arrival rate > 0 and service prob in (0,1]")
+            if not 0 <= beds <= cap:
+                raise ValueError("need 0 <= bed count <= occupancy cap")
+        _check_params(self.discount, self.holding, self.overflow)
 
 
 def hospital_2ward():

@@ -249,10 +249,11 @@ def row_blocks(indptr, budget):
 
 def row_kron(factors, rows):
     """Row-wise Kronecker product: the CSR whose row i is ⊗_j F_j[rows[j][i]],
-    axis 0 most significant in the columns.  Every row of a CSR factor F_j
-    is one nonempty contiguous run of columns; zeros inside a run are
-    dropped.  Values multiply axis 0 first and each row's columns ascend,
-    so the CSR is canonical as built."""
+    axis 0 most significant in the columns, for canonical CSR factors F_j.
+    Each entry expands over the stored entries of its next factor row, whose
+    columns it gathers from ``F.indices``; zero products are dropped.
+    Values multiply axis 0 first and each row's columns ascend, so the CSR
+    is canonical as built."""
     n_cols = int(np.prod([F.shape[1] for F in factors]))
     # 32-bit columns when they fit (scipy would downcast them anyway)
     itype = index_dtype(n_cols)
@@ -260,18 +261,16 @@ def row_kron(factors, rows):
     cols, vals = head.indices.astype(itype, copy=False), head.data
     sizes = np.diff(head.indptr).astype(np.int64)  # entries per row so far
     for F, r in zip(factors[1:], rows[1:]):
-        # each entry expands over the run of its factor row; the large
-        # temporaries stay 32-bit and are freed as soon as they are used
+        # each entry expands over its factor row's entries, t_idx indexing
+        # them; the large temporaries stay 32-bit and are freed once used
         width = np.diff(F.indptr)
         rj = np.repeat(r, sizes)
         k = width[rj]
         start = np.cumsum(k) - k
-        ar = np.arange(int(k.sum()), dtype=itype)
-        cols = np.repeat((cols * F.shape[1] + F.indices[F.indptr[rj]] - start).astype(itype), k)
-        cols += ar
         t_idx = np.repeat((F.indptr[rj] - start).astype(itype), k)
-        t_idx += ar
-        del ar
+        t_idx += np.arange(len(t_idx), dtype=itype)
+        cols = np.repeat((cols * F.shape[1]).astype(itype, copy=False), k)
+        cols += F.indices[t_idx]
         t_val = F.data[t_idx]
         del t_idx
         t_val *= np.repeat(vals, k)
@@ -301,53 +300,49 @@ def contract(mats, X):
     return np.ascontiguousarray(X)
 
 
-def _run_factor(F):
-    """F as a ``row_kron`` factor: row r runs over F[r] from its first to
-    its last nonzero column."""
-    F = F.toarray() if sparse.issparse(F) else np.asarray(F)
-    run = np.logical_or.accumulate(F != 0, axis=1)
-    run &= np.logical_or.accumulate(F[:, ::-1] != 0, axis=1)[:, ::-1]
-    R = sparse.csr_matrix(run, dtype=np.float64)
-    R.data = F[run]  # both in row-major order
-    return R
-
-
 class KronRows:
-    """Stacked rows ⊗_j F_j[rows[j][i]] of per-axis factors, kept factored.
+    """Stacked rows ⊗_j F_j[w_j] of per-axis factors, kept factored: one row
+    per flat index w into the box of the factors' row counts (a post-decision
+    model's flat post points).
 
     ``apply`` contracts a vector with the factors over the whole factor box
     and gathers the rows, forming none; ``times`` composes the rows with
     per-axis matrices on the right.  ``matrix`` forms them once, as the
-    RowStochasticMatrix of ``row_kron`` over each factor's runs, which
+    RowStochasticMatrix of ``row_kron`` over the factors as CSR, which
     ``csr`` and ``nnz`` read; ``sizes`` counts its entries beforehand.
+    Only the flat indices are kept; ``rows`` unravels them when read.
     """
 
-    def __init__(self, factors, rows):
-        self.factors, self.rows = list(factors), tuple(np.asarray(r) for r in rows)
-        self.shape = len(self.rows[0]), int(np.prod([F.shape[1] for F in self.factors]))
-        self._flat = np.ravel_multi_index(self.rows, [F.shape[0] for F in self.factors])
+    def __init__(self, factors, posts):
+        self.factors, self.posts = list(factors), np.asarray(posts)
+        self.shape = len(self.posts), int(np.prod([F.shape[1] for F in self.factors]))
+
+    @property
+    def rows(self):
+        return np.unravel_index(self.posts, [F.shape[0] for F in self.factors])
 
     def apply(self, f):
         X = np.asarray(f, dtype=np.float64).reshape([F.shape[1] for F in self.factors])
-        return contract(self.factors, X).ravel()[self._flat]
+        return contract(self.factors, X).ravel()[self.posts]
 
     def times(self, mats):
         """These rows times ⊗_j mats[j] for sparse M_j: the factors F_j M_j,
         sparse where F_j is.  (Dense products of jrp_large's size run on
         OpenBLAS threads, which stalled 10-28 ms each on a busy 2-core VM.)"""
-        return KronRows([F @ M for F, M in zip(self.factors, mats)], self.rows)
+        return KronRows([F @ M for F, M in zip(self.factors, mats)], self.posts)
 
     @cached_property
-    def _runs(self):
-        return [_run_factor(F) for F in self.factors]
+    def _csr(self):
+        return [sparse.csr_matrix(F) for F in self.factors]
 
     def sizes(self):
-        """Entries ``row_kron`` forms per row: the product of its runs."""
-        return np.prod([np.diff(R.indptr)[r] for R, r in zip(self._runs, self.rows)], axis=0)
+        """Entries ``row_kron`` forms per row: the product of its factor
+        rows' stored entries."""
+        return np.prod([np.diff(F.indptr)[r] for F, r in zip(self._csr, self.rows)], axis=0)
 
     @cached_property
     def matrix(self):
-        return RowStochasticMatrix._adopt(row_kron(self._runs, self.rows))
+        return RowStochasticMatrix._adopt(row_kron(self._csr, self.rows))
 
     @property
     def csr(self):

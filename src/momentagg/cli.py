@@ -247,10 +247,7 @@ def _custom(cfg):
         raise ConfigError("problem=custom needs file=<instance.npz>")
     if not Path(cfg.instance_file).exists():
         raise ConfigError(f"instance file not found: {cfg.instance_file}")
-    try:
-        return "mrp", benchmarks.load_mrp(cfg.instance_file)
-    except ValueError as exc:
-        raise ConfigError(f"instance file {cfg.instance_file}: {exc}") from exc
+    return "mrp", benchmarks.load_mrp(cfg.instance_file)
 
 
 def _box(cfg):
@@ -268,14 +265,35 @@ PROBLEMS = {
     "hospital3": _controlled(benchmarks.build_hospital, benchmarks.hospital_3ward),
     "hospital4": _controlled(benchmarks.build_hospital, benchmarks.hospital_4ward),
     "simple_rw": lambda cfg: (
-        "mrp", benchmarks.build_simple_rw(cfg.size or 20, alpha=cfg.alpha or 0.9)
+        "mrp", benchmarks.build_simple_rw(
+            20 if cfg.size is None else cfg.size, alpha=cfg.alpha or 0.9
+        )
     ),
     "reflecting_rw": lambda cfg: (
-        "mrp", benchmarks.build_reflecting_rw(cfg.size or 100, cfg.seed, alpha=cfg.alpha or 0.95)
+        "mrp", benchmarks.build_reflecting_rw(
+            100 if cfg.size is None else cfg.size, cfg.seed, alpha=cfg.alpha or 0.95
+        )
     ),
     "custom": _custom,
     "box": _box,
 }
+
+
+def _problem(cfg, *kinds):
+    """The configured problem as (kind, object), of one of ``kinds``; a
+    setting its builder rejects is a ConfigError."""
+    try:
+        kind, obj = PROBLEMS[cfg.problem](cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        source = f"problem={cfg.problem}"
+        if cfg.problem == "custom":  # the file holds the settings
+            source = f"instance file {cfg.instance_file}"
+        raise ConfigError(f"{source}: {exc}") from exc
+    if kind not in kinds:
+        raise ConfigError(f"mode={cfg.mode} does not run problem={cfg.problem}")
+    return kind, obj
 
 
 def _make_grid(cfg, lattice):
@@ -388,14 +406,12 @@ def _finish(cfg, out, grid, **fields):
 
 
 def _mode_grid(cfg, out):
-    kind, obj = PROBLEMS[cfg.problem](cfg)
+    kind, obj = _problem(cfg, "mdp", "mrp", "lattice")
     return _finish(cfg, out, _make_grid(cfg, obj if kind == "lattice" else obj.lattice))
 
 
 def _mode_evaluate(cfg, out):
-    kind, obj = PROBLEMS[cfg.problem](cfg)
-    if kind == "lattice":
-        raise ConfigError("problem=box supports mode=grid only")
+    kind, obj = _problem(cfg, "mdp", "mrp")
     t0 = time.perf_counter()
     V_star = None
     if kind == "mdp":
@@ -432,9 +448,7 @@ def _mode_evaluate(cfg, out):
 
 
 def _mode_optimize(cfg, out):
-    kind, mdp = PROBLEMS[cfg.problem](cfg)
-    if kind != "mdp":
-        raise ConfigError(f"mode=optimize needs a controlled problem, not {cfg.problem}")
+    _, mdp = _problem(cfg, "mdp")
     grid = _make_grid(cfg, mdp.lattice)
     scheme = build_scheme(grid)
     t0 = time.perf_counter()
@@ -538,9 +552,7 @@ def _diagnostics(cfg, mrp, scheme):
 
 
 def _mode_diagnose(cfg, out):
-    kind, obj = PROBLEMS[cfg.problem](cfg)
-    if kind == "lattice":
-        raise ConfigError("problem=box supports mode=grid only")
+    kind, obj = _problem(cfg, "mdp", "mrp")
     if kind == "mdp":
         mrp = induced_mrp(obj, np.zeros(obj.lattice.size, dtype=np.int64))
     else:

@@ -9,9 +9,9 @@ Everything here minimizes discounted cost.  Two solvers are provided:
   ``solve_discounted`` as exact PI, certified at 1e-10) and improves the
   policy only at representative states, then a single full sweep extends
   the final policy to every state.  P̄G is never formed: the scheme states
-  G = ⊗_j G_j and supplies the 1-D factors G_j, so with the model's kernel
-  rows in factored form one aggregate product is one small contraction per
-  axis with A_j = K_j G_j.
+  G = ⊗_j G_j and supplies the 1-D factors G_j, so the model's factored
+  kernel rows times the G_j make one aggregate product one small
+  contraction per axis with the factors K_j G_j.
 
 Both run one loop, ``_policy_iteration``, which keeps the same record of
 every iteration and stops on a stable policy, a repeated policy or the
@@ -33,16 +33,14 @@ from functools import partial
 
 import numpy as np
 
-from . import chain
 from .chain import MarkovRewardProcess, NumericalError, solve_discounted
-from .evaluation import VALUE_FLOOR, GapReport, optimality_gap_report
+from .evaluation import GapReport, optimality_gap_report
 from .evaluation import _solve as _solve_aggregate
 from .lattice import StateLattice, integral
 
 __all__ = [
     "ControlledMdp",
     "PiReport",
-    "BellmanResidualReport",
     "GapReport",
     "induced_mrp",
     "exact_policy_iteration",
@@ -260,11 +258,11 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     representatives under the restricted policy, solve ``(I - alpha PbarG)
     R = c_bar`` with ``evaluation._solve`` (``solve_discounted``, certified
     at 1e-10) and improve the policy at representatives against W = G R.
-    PbarG is an operator: with A_j = K_j G_j (the rows' factors times G's
-    1-D factors, formed once per call), a product contracts R with the A_j
-    one axis at a time and gathers at the rows.  When the
-    restricted policy is stable, one greedy sweep over all states gives the
-    full policy, and its one-step value is lifted through ``induced_apply``.
+    PbarG is an operator: the rows times G's 1-D factors (``KronRows.times``,
+    the factors K_j G_j), whose product contracts R one axis at a time and
+    gathers at the rows' post points.  When the restricted policy is stable,
+    one greedy sweep over all states gives the full policy, and its one-step
+    value is lifted through ``induced_apply``.
 
     Returns a PiReport whose ``value`` is V~ = c + alpha P (G R) under the
     returned policy and whose ``R`` is the final aggregate value.  Raises
@@ -282,14 +280,10 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     G_axes = scheme.axis_factors()
     if G_axes is None:
         raise ValueError("aggregated PI needs G = ⊗_j G_j, a product of 1-D factors")
-    A = None
 
     def system(policy_bar):
-        nonlocal A
         Pbar = mdp.kernel_rows_at(reps, policy_bar)
-        if A is None:  # a model's row factors are the same at every call
-            A = Pbar.times(G_axes).factors
-        return chain.KronRows(A, Pbar.rows).apply, mdp.costs_at(reps, policy_bar)
+        return Pbar.times(G_axes).apply, mdp.costs_at(reps, policy_bar)
 
     t_start = _now_ms()
     report, W = _policy_iteration(
@@ -310,25 +304,10 @@ def aggregated_policy_iteration(mdp, scheme, policy0=None, *, max_iter=100):
     return report
 
 
-@dataclass(frozen=True)
-class BellmanResidualReport:
-    """Per-state |T^pi W - W| and the same relative to max(W, floor)."""
-
-    per_state: np.ndarray
-    relative: np.ndarray
-    mean_rel: float
-    max_rel: float
-
-
 def bellman_residual(mdp, policy, W):
-    """One-step Bellman residual of W under a full policy."""
+    """One-step Bellman residual of W under a full policy: the gap report of
+    T^pi W = c + alpha P W against W, so ``abs_gap`` is |T^pi W - W| and
+    ``rel_gap`` divides it by max(W, floor)."""
     W = np.asarray(W, dtype=np.float64)
     apply_P, c = mdp.induced_apply(policy)
-    residual = np.abs(c + mdp.discount * apply_P(W) - W)
-    relative = residual / np.maximum(W, VALUE_FLOOR)
-    return BellmanResidualReport(
-        per_state=residual,
-        relative=relative,
-        mean_rel=float(np.mean(relative)),
-        max_rel=float(np.max(relative)),
-    )
+    return optimality_gap_report(W, c + mdp.discount * apply_P(W))

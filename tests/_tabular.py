@@ -60,7 +60,7 @@ class TabularMdp(ControlledMdp):
     def kernel_rows_at(self, indices, actions):
         indices, actions = self.check_actions(indices, actions)
         stacked = sparse.vstack([K.csr for K in self.kernels], format="csr")
-        return FlatRows([stacked], [actions * self.lattice.size + indices])
+        return FlatRows([stacked], actions * self.lattice.size + indices)
 
     def costs_at(self, indices, actions):
         indices, actions = self.check_actions(indices, actions)

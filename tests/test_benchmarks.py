@@ -106,6 +106,49 @@ def test_jrp_params_validation():
         )
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"minor_cost": (40.0,)}, "two items"),
+        ({"holding": (1.0, 1.0, 1.0)}, "two items"),
+        ({"upper": (40,)}, "two items"),
+        ({"major_cost": NAN}, "finite and nonnegative"),
+        ({"backorder": (19.0, float("inf"))}, "finite and nonnegative"),
+        ({"holding": (-1.0, 1.0)}, "finite and nonnegative"),
+        ({"discount": 1.0}, "discount"),
+        ({"discount": 0.0}, "discount"),
+    ],
+)
+def test_jrp_params_rejected_at_construction(change, message):
+    # costs_at would index past a short tuple, and NaN costs would reach
+    # the solver; both are refused before any model is built
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(jrp_small(), **change)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"overflow": ((0.0, 5.0, 1.0), (1.0, 0.0, 1.0))}, "overflow is J x J"),
+        ({"overflow": ((0.0, 5.0),)}, "overflow is J x J"),
+        ({"holding": (5.0, NAN)}, "finite and nonnegative"),
+        ({"overflow": ((0.0, -5.0), (1.0, 0.0))}, "finite and nonnegative"),
+        ({"beds": (-1, 12)}, "0 <= bed count"),
+        ({"beds": (50, 12)}, "occupancy cap"),
+        ({"arrival_rates": (NAN, 2.8)}, "arrival rate"),
+        ({"arrival_rates": (float("inf"), 2.8)}, "finite arrival rate"),
+        ({"discount": 1.0}, "discount"),
+        ({"discount": -0.5}, "discount"),
+    ],
+)
+def test_hospital_params_rejected_at_construction(change, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(hospital_2ward(), **change)
+
+
 # ---------------------------------------------------------------------------
 # joint replenishment
 # ---------------------------------------------------------------------------

@@ -207,8 +207,8 @@ def test_induced_kernel_is_adopted_without_copies():
     mdp = build_jrp(jrp_small())
     n = mdp.lattice.size
     posts = mdp.pairs_at(np.arange(n), np.zeros(n, dtype=np.int64))[0]
-    rows = chain.KronRows(mdp.kernels, np.unravel_index(posts, mdp.post_shape))
-    M = chain.row_kron(rows._runs, rows.rows)
+    rows = chain.KronRows(mdp.kernels, posts)
+    M = chain.row_kron(rows._csr, rows.rows)
     want = RowStochasticMatrix(M).csr
     assert not np.all(np.add.reduceat(M.data, M.indptr[:-1]) == 1.0)  # it rescales
     copies = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
@@ -405,21 +405,27 @@ def test_product_bound_caps_rows_at_the_column_count():
 
 @st.composite
 def kron_factors(draw):
-    """1-4 CSR factors whose rows are contiguous runs, zeros allowed inside
-    and at the ends, as (factors, dense copies, row picks)."""
+    """1-4 CSR factors as (factors, dense copies, row picks).  A row stores
+    a contiguous run of columns, or with ``gaps`` any ascending set of them,
+    so that its dense form has zeros between stored entries; stored zeros
+    are allowed anywhere."""
     n = draw(st.integers(1, 6))
     value = st.just(0.0) | st.floats(0.0, 10.0, allow_subnormal=False)
+    gaps = draw(st.booleans())
     factors, dense, rows = [], [], []
     for _ in range(draw(st.integers(1, 4))):
         n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
         D = np.zeros((n_rows, n_cols))
         indptr, indices, data = [0], [], []
         for r in range(n_rows):
-            lo = draw(st.integers(0, n_cols - 1))
-            width = draw(st.integers(1, n_cols - lo))
-            run = draw(st.lists(value, min_size=width, max_size=width))
-            D[r, lo : lo + width] = run
-            indices += range(lo, lo + width)
+            if gaps:
+                cols = sorted(draw(st.sets(st.integers(0, n_cols - 1), min_size=1)))
+            else:
+                lo = draw(st.integers(0, n_cols - 1))
+                cols = list(range(lo, lo + draw(st.integers(1, n_cols - lo))))
+            run = draw(st.lists(value, min_size=len(cols), max_size=len(cols)))
+            D[r, cols] = run
+            indices += cols
             data += run
             indptr.append(len(indices))
         factors.append(sparse.csr_matrix((data, indices, indptr), shape=D.shape))
@@ -441,6 +447,9 @@ def test_row_kron_matches_dense_kron(case):
     assert M.shape == want.shape
     assert np.array_equal(M.toarray(), want)
     assert M.has_canonical_format and np.all(M.data != 0.0)
+    # KronRows counts a row's entries before forming it: at least its nnz
+    posts = np.ravel_multi_index(rows, [F.shape[0] for F in factors])
+    assert np.all(chain.KronRows(factors, posts).sizes() >= np.diff(M.indptr))
 
 
 def _stochastic(rng, n_rows, n_cols):
@@ -463,7 +472,7 @@ def test_kron_rows_match_their_materialized_rows(seed, axes, n):
         factors.append(sparse.csr_matrix(F) if j % 2 else F)
         mats.append(sparse.csr_matrix(_stochastic(rng, n_cols, rng.integers(1, 4))))
     rows = [rng.integers(0, F.shape[0], n) for F in factors]
-    P = chain.KronRows(factors, rows)
+    P = chain.KronRows(factors, np.ravel_multi_index(rows, [F.shape[0] for F in factors]))
     M = P.csr
     assert P.shape == M.shape and P.nnz == M.nnz
     assert np.all(P.sizes() >= np.diff(M.indptr))

@@ -426,6 +426,35 @@ def test_box_rejects_other_modes(tmp_path):
     assert main(["--config", ini]) == 1
 
 
+@pytest.mark.parametrize(
+    "problem, lines, message",
+    [
+        ("simple_rw", "n = 0\n", "need n >= 2"),
+        ("simple_rw", "n = 1\n", "need n >= 2"),
+        ("simple_rw", "n = -3\n", "need n >= 2"),
+        ("reflecting_rw", "n = 0\n", "need n >= 3"),
+        ("box", "lower = 5, 5\nupper = 1, 1\n", "below lower bound"),
+        ("box", "lower = 0, 0\nupper = 3\n", "equally long"),
+    ],
+    ids=["rw-n0", "rw-n1", "rw-n-3", "reflecting-n0", "box-inverted", "box-unequal"],
+)
+@pytest.mark.parametrize("mode", ["grid", "evaluate", "diagnose"])
+def test_settings_a_builder_rejects_are_config_errors(
+    tmp_path, capsys, problem, lines, message, mode
+):
+    # n = 0 is a walk length like any other, not the default; every mode
+    # builds the problem in one place, with one "config error" line and
+    # exit 1, no traceback
+    ini = _write_ini(
+        tmp_path / "b.ini",
+        f"[problem]\nname = {problem}\nmode = {mode}\n{lines}[output]\ndir = {tmp_path}\n",
+    )
+    assert main(["--config", ini]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: problem={problem}: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_diagnose_reflecting_rw(tmp_path):
     out = tmp_path / "out"
     ini = _write_ini(

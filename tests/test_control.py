@@ -592,7 +592,7 @@ def test_bellman_residual_zero_candidate():
     policy = np.zeros(11, dtype=np.int64)
     report = bellman_residual(mdp, policy, np.zeros(11))
     # with W = 0 the residual is exactly the one-step cost
-    assert_allclose(report.per_state, C[0], atol=1e-15)
+    assert_allclose(report.abs_gap, C[0], atol=1e-15)
 
 
 def test_bellman_residual_vanishes_at_fixed_point():
