@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from . import chain
-from .chain import MarkovRewardProcess, RowStochasticMatrix, max_jump
+from .chain import RowStochasticMatrix, max_jump
 from .grid import CoarseGrid, build_U
 
 __all__ = [
@@ -250,12 +250,6 @@ class SisterChain:
                 sparse.csr_matrix((M.data, cols, M.indptr), shape=(n, n))
             )
         return self._matrix
-
-    def to_mrp(self):
-        """The sister process <lattice, P~, c, alpha> with P~ materialized."""
-        return MarkovRewardProcess(
-            self.base.lattice, self.materialize(), self.base.cost, self.base.discount
-        )
 
     def __repr__(self):
         return f"SisterChain(N={self.lattice.size}, L={self.scheme.grid.size})"

@@ -35,7 +35,7 @@ from scipy.special import _ufuncs
 from . import chain
 from .chain import MarkovRewardProcess, ResourceLimitError, RowStochasticMatrix
 from .control import ControlledMdp, _full_policy
-from .lattice import StateLattice
+from .lattice import StateLattice, integral
 
 __all__ = [
     "JrpParams",
@@ -62,6 +62,33 @@ __all__ = [
 # post-decision models
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ActionTable:
+    """Every (state, action) pair of a tabulated model, in CSR form.
+
+    The actions of state i are the ``counts[i]`` pairs
+    ``indptr[i]:indptr[i + 1]``, in action-id order.  Pair p lands on the
+    post point with flat index ``posts[p]`` (for the hospital, the
+    post-routing occupancy; its routing is not stored, and ``_actions``
+    expands a state's routings again) and costs ``costs[p]``.  All arrays
+    are read-only.
+    """
+
+    indptr: np.ndarray
+    counts: np.ndarray
+    posts: np.ndarray
+    costs: np.ndarray
+
+
+#: action-table rows a build or a greedy sweep works on at once.  Whole
+#: tables make MB-sized temporaries: hospital3's costs took 11.6 MB of
+#: products, and its full sweep 4.3 ms when an earlier large free had
+#: raised glibc's mmap and trim thresholds, 10 ms when not (page faults on
+#: every temporary); blocks stay cache-sized, and a sweep's blocks work in
+#: buffers kept from sweep to sweep (``_sweep_buffers``)
+_TABLE_BLOCK = 1 << 15
+
+
 class PostDecisionMdp(ControlledMdp):
     """A controlled MDP whose actions pick a post-decision point.
 
@@ -69,19 +96,103 @@ class PostDecisionMdp(ControlledMdp):
     ``post_shape``, at a cost; from there each axis j moves on its own
     under the 1-D kernel ``kernels[j]`` (row w_j: the distribution of the
     next state's axis-j offset), so the transition row is ⊗_j K_j[w_j].
+    One kernel may also span every axis, its columns the flat lattice: any
+    finite MDP is a post-decision model whose post points are its (state,
+    action) pairs and whose one kernel stacks their transition rows.
 
     Subclasses set ``kernels`` (dense arrays or scipy CSR matrices) and
-    supply ``pairs_at``, ``action_counts`` and ``greedy_at``.  Costs,
-    expectations, kernel rows and the induced chain are defined here, once,
-    from the kernels and that one gather of post points and costs.
+    either build the :class:`ActionTable` of every pair (``_build_table``),
+    which gives ``action_counts``, ``pairs_at`` and ``greedy_at`` here, or
+    supply those three, as joint replenishment does (its table would hold
+    about 2.7e8 pairs on jrp_large).  Costs, expectations, kernel rows and
+    the induced chain are defined here, once, from the kernels and the one
+    gather ``pairs_at`` of post points and costs.
     """
 
     kernels: list
+    _table = None
+    #: one lock for every model's table build, which runs once per model
+    _table_lock = threading.Lock()
+
+    # -- the table route -------------------------------------------------------
+
+    @property
+    def table(self):
+        """The :class:`ActionTable`, built on first access (thread-safe)
+        with read-only arrays, together with the model's sweep buffers."""
+        table = self._table
+        if table is None:
+            with self._table_lock:
+                if self._table is None:
+                    table = self._build_table()
+                    for arr in vars(table).values():
+                        arr.setflags(write=False)
+                    self._sweep = threading.local()
+                    self._table = table
+                table = self._table
+        return table
+
+    def action_counts(self):
+        return self.table.counts
 
     def pairs_at(self, indices, actions):
         """(flat post-decision indices, costs) of the (state, action) pairs,
         gathered after one ``check_actions``."""
-        raise NotImplementedError
+        indices, actions = self.check_actions(indices, actions)
+        rows = self.table.indptr[indices] + actions
+        return self.table.posts[rows], self.table.costs[rows]
+
+    def _sweep_buffers(self, size):
+        """This thread's entry buffers for ``greedy_at``, of at least
+        ``size`` entries: an arange, two int64, two float64 and one bool
+        buffer.  They are kept from sweep to sweep, since buffers made once
+        per sweep were fresh pages on every sweep whenever glibc's mmap and
+        trim thresholds were low (hospital3: 534 page faults a sweep)."""
+        buffers = getattr(self._sweep, "buffers", None)
+        if buffers is None or len(buffers[0]) < size:
+            buffers = self._sweep.buffers = (
+                np.arange(size), np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64),
+                np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+            )
+        return buffers
+
+    def greedy_at(self, indices, W):
+        """Greedy actions and Q-values at ``indices`` against W: each pair's
+        cost plus alpha E[W | its post point], read from the table in blocks
+        of whole states, and a segment argmin per state."""
+        t = self.table
+        indices = np.asarray(indices, dtype=np.int64)
+        counts = t.counts[indices]
+        EW = self.expect(W).ravel()
+        actions, qvals = np.empty(len(indices), dtype=np.int64), np.empty(len(indices))
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        blocks = chain.row_blocks(ends, _TABLE_BLOCK)
+        size = max((int(ends[e] - ends[s]) for s, e in blocks), default=0)
+        ar, rows, pos, q, other, hit = self._sweep_buffers(size)
+        # the gathers' indices are in range by construction; mode "clip"
+        # writes to ``out`` directly, where "raise" would buffer it
+        for s, e in blocks:
+            k = counts[s:e]
+            m = int(ends[e] - ends[s])
+            seg = np.cumsum(k) - k
+            owner = np.repeat(np.arange(e - s), k)  # the one temporary of m entries
+            r = np.take(t.indptr[indices[s:e]] - seg, owner, out=rows[:m], mode="clip")
+            r += ar[:m]
+            qb, ew = np.take(t.costs, r, out=q[:m], mode="clip"), other[:m]
+            np.take(EW, np.take(t.posts, r, out=pos[:m], mode="clip"), out=ew, mode="clip")
+            ew *= self.discount
+            qb += ew
+            # segment argmin keeping the first minimum (the lowest action id)
+            qmin = np.minimum.reduceat(qb, seg)
+            np.equal(qb, np.take(qmin, owner, out=ew, mode="clip"), out=hit[:m])
+            at = pos[:m]  # each entry's position if it hits its minimum, else m
+            at.fill(m)
+            np.copyto(at, ar[:m], where=hit[:m])
+            first = np.minimum.reduceat(at, seg)
+            actions[s:e], qvals[s:e] = first - seg, qb[first]
+        return actions, qvals
+
+    # -- kernels -----------------------------------------------------------------
 
     @property
     def post_shape(self):
@@ -89,9 +200,9 @@ class PostDecisionMdp(ControlledMdp):
 
     def expect(self, W):
         """E[W(next) | post point w] for every w, shaped ``post_shape``:
-        ``chain.contract`` of the kernels with W, so a sweep costs one small
-        product per axis."""
-        W = np.asarray(W, dtype=np.float64).reshape(self.lattice.shape)
+        ``chain.contract`` of the kernels with W, shaped by the kernels'
+        column counts, so a sweep costs one small product per kernel."""
+        W = np.asarray(W, dtype=np.float64).reshape([K.shape[1] for K in self.kernels])
         return chain.contract(self.kernels, W)
 
     def costs_at(self, indices, actions):
@@ -393,6 +504,10 @@ class HospitalParams:
             == J
         ) or any(len(row) != J for row in self.overflow):
             raise ValueError("per-ward parameter lengths disagree (overflow is J x J)")
+        if not integral(np.asarray((*self.beds, *self.caps), dtype=np.float64)).all():
+            raise ValueError("bed counts and occupancy caps must be integers")
+        object.__setattr__(self, "beds", tuple(int(b) for b in self.beds))
+        object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
         for lam, p, cap, beds in zip(
             self.arrival_rates, self.service_probs, self.caps, self.beds
         ):
@@ -474,32 +589,6 @@ def _ward_matrix(cap, beds, p_serve, lam):
     return T
 
 
-@dataclass(frozen=True)
-class ActionTable:
-    """Every (state, action) pair of a hospital instance, in CSR form.
-
-    The actions of state i are the ``counts[i]`` pairs
-    ``indptr[i]:indptr[i + 1]``, in action-id order.  Pair p lands on the
-    post-routing occupancy with flat index ``posts[p]`` and costs
-    ``costs[p]``; its routing is not stored (``_actions`` expands a state's
-    routings again).  All arrays are read-only.
-    """
-
-    indptr: np.ndarray
-    counts: np.ndarray
-    posts: np.ndarray
-    costs: np.ndarray
-
-
-#: action-table rows a build or a greedy sweep works on at once.  Whole
-#: tables make MB-sized temporaries: hospital3's costs took 11.6 MB of
-#: products, and its full sweep 4.3 ms when an earlier large free had
-#: raised glibc's mmap and trim thresholds, 10 ms when not (page faults on
-#: every temporary); blocks stay cache-sized, and a sweep's blocks work in
-#: buffers kept from sweep to sweep (``_sweep_buffers``)
-_TABLE_BLOCK = 1 << 15
-
-
 def _route_dtype(caps):
     """Smallest signed integer type that holds every supply, space and route
     count: none exceeds a ward's cap (int8 on every shipped instance)."""
@@ -578,12 +667,12 @@ class HospitalOverflowMdp(PostDecisionMdp):
     row-major entry order with values ascending (the first entry varies
     slowest), so action id 0 is "route nobody" and ids are reproducible.
 
-    An action only picks a post-routing occupancy, so one
-    :class:`ActionTable` of (post index, cost) pairs per state carries
-    everything greedy sweeps and kernel assembly need.  It is built on
-    first use, once, for all states.  Given the post-routing occupancy,
-    wards evolve independently: the kernels are the per-ward 1-D
-    transition matrices (dense), and the post box is the lattice.
+    An action only picks a post-routing occupancy, so the model is
+    tabulated: ``_build_table`` makes the :class:`ActionTable` of (post
+    index, cost) pairs that greedy sweeps and gathers read, on first use,
+    once, for all states.  Given the post-routing occupancy, wards evolve
+    independently: the kernels are the per-ward 1-D transition matrices
+    (dense), and the post box is the lattice.
     """
 
     def __init__(self, params):
@@ -598,22 +687,8 @@ class HospitalOverflowMdp(PostDecisionMdp):
             for j in range(J)
         ]
         self._pairs = [(i, j) for i in range(J) for j in range(J) if i != j]
-        self._table = None
-        self._table_lock = threading.Lock()
-        self._sweep = threading.local()
 
     # -- action table ------------------------------------------------------------
-
-    @property
-    def table(self):
-        """The :class:`ActionTable`, built on first access (thread-safe)."""
-        table = self._table
-        if table is None:
-            with self._table_lock:
-                if self._table is None:
-                    self._table = self._build_table()
-                table = self._table
-        return table
 
     def _wards(self, states):
         """Per-ward columns over ``states`` (lower corner 0), in
@@ -695,13 +770,7 @@ class HospitalOverflowMdp(PostDecisionMdp):
             ends = np.concatenate(([0], np.cumsum(counts[states])))
             for lo, hi in chain.row_blocks(ends, _TABLE_BLOCK):
                 fill(states[lo:hi])
-        table = ActionTable(indptr=indptr, counts=counts, posts=posts, costs=costs)
-        for arr in vars(table).values():
-            arr.setflags(write=False)
-        return table
-
-    def action_counts(self):
-        return self.table.counts
+        return ActionTable(indptr=indptr, counts=counts, posts=posts, costs=costs)
 
     def _actions(self, i):
         """(routing matrices, post-action flat indices, costs) of state i;
@@ -717,60 +786,6 @@ class HospitalOverflowMdp(PostDecisionMdp):
     def routing_matrix(self, i, a):
         """Decode action id to its routing matrix."""
         return self._actions(i)[0][int(a)]
-
-    # -- gathers over the table -------------------------------------------------
-
-    def pairs_at(self, indices, actions):
-        indices, actions = self.check_actions(indices, actions)
-        rows = self.table.indptr[indices] + actions
-        return self.table.posts[rows], self.table.costs[rows]
-
-    def _sweep_buffers(self, size):
-        """This thread's entry buffers for ``greedy_at``, of at least
-        ``size`` entries: an arange, two int64, two float64 and one bool
-        buffer.  They are kept from sweep to sweep, since buffers made once
-        per sweep were fresh pages on every sweep whenever glibc's mmap and
-        trim thresholds were low (hospital3: 534 page faults a sweep)."""
-        buffers = getattr(self._sweep, "buffers", None)
-        if buffers is None or len(buffers[0]) < size:
-            buffers = self._sweep.buffers = (
-                np.arange(size), np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64),
-                np.empty(size), np.empty(size), np.empty(size, dtype=bool),
-            )
-        return buffers
-
-    def greedy_at(self, indices, W):
-        t = self.table
-        indices = np.asarray(indices, dtype=np.int64)
-        counts = t.counts[indices]
-        EW = self.expect(W).ravel()
-        actions, qvals = np.empty(len(indices), dtype=np.int64), np.empty(len(indices))
-        ends = np.concatenate(([0], np.cumsum(counts)))
-        blocks = chain.row_blocks(ends, _TABLE_BLOCK)
-        size = max((int(ends[e] - ends[s]) for s, e in blocks), default=0)
-        ar, rows, pos, q, other, hit = self._sweep_buffers(size)
-        # the gathers' indices are in range by construction; mode "clip"
-        # writes to ``out`` directly, where "raise" would buffer it
-        for s, e in blocks:
-            k = counts[s:e]
-            m = int(ends[e] - ends[s])
-            seg = np.cumsum(k) - k
-            owner = np.repeat(np.arange(e - s), k)  # the one temporary of m entries
-            r = np.take(t.indptr[indices[s:e]] - seg, owner, out=rows[:m], mode="clip")
-            r += ar[:m]
-            qb, ew = np.take(t.costs, r, out=q[:m], mode="clip"), other[:m]
-            np.take(EW, np.take(t.posts, r, out=pos[:m], mode="clip"), out=ew, mode="clip")
-            ew *= self.discount
-            qb += ew
-            # segment argmin keeping the first minimum (the lowest action id)
-            qmin = np.minimum.reduceat(qb, seg)
-            np.equal(qb, np.take(qmin, owner, out=ew, mode="clip"), out=hit[:m])
-            at = pos[:m]  # each entry's position if it hits its minimum, else m
-            at.fill(m)
-            np.copyto(at, ar[:m], where=hit[:m])
-            first = np.minimum.reduceat(at, seg)
-            actions[s:e], qvals[s:e] = first - seg, qb[first]
-        return actions, qvals
 
 
 def build_hospital(params):

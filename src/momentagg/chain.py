@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 import numpy as np
 from scipy import sparse
@@ -327,8 +327,11 @@ class KronRows:
 
     def times(self, mats):
         """These rows times ⊗_j mats[j] for sparse M_j: the factors F_j M_j,
-        sparse where F_j is.  (Dense products of jrp_large's size run on
-        OpenBLAS threads, which stalled 10-28 ms each on a busy 2-core VM.)"""
+        sparse where F_j is, or F ⊗_j M_j for one factor F whose columns span
+        every axis.  (Dense products of jrp_large's size run on OpenBLAS
+        threads, which stalled 10-28 ms each on a busy 2-core VM.)"""
+        if len(self.factors) == 1:
+            mats = [reduce(partial(sparse.kron, format="csr"), mats)]
         return KronRows([F @ M for F, M in zip(self.factors, mats)], self.posts)
 
     @cached_property

@@ -69,7 +69,9 @@ class ControlledMdp:
     the pairs it returns.  Both benchmark families derive from
     ``benchmarks.PostDecisionMdp``, which defines all four once from
     per-axis kernels and one gather of each pair's post-decision point and
-    cost.
+    cost.  A model that tabulates its pairs (``benchmarks.ActionTable``)
+    gets its action counts, gather and greedy sweep there too; joint
+    replenishment supplies its own.
 
     Action ids are 0-based and contiguous per state; id 0 is always the
     "do nothing" action where the model has one.

@@ -127,18 +127,6 @@ class StateLattice:
             self._states = states
         return self._states
 
-    # -- geometry helpers ---------------------------------------------------
-
-    def contains(self, coords):
-        """Boolean containment test for one point or a batch."""
-        c = np.atleast_2d(np.asarray(coords))
-        ok = np.all((c >= self.lower) & (c <= self.upper), axis=1)
-        return bool(ok[0]) if np.asarray(coords).ndim == 1 else ok
-
-    def clamp(self, coords):
-        """Componentwise projection onto the box."""
-        return np.clip(np.asarray(coords), self.lower, self.upper)
-
     def __eq__(self, other):
         return (isinstance(other, StateLattice)
                 and np.array_equal(self.lower, other.lower)

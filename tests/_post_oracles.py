@@ -8,7 +8,8 @@ once ran for models that gave only one row and one cost at a time; here
 they ask the model for each pair through ``kernel_rows_at([i], [a])`` and
 ``costs_at([i], [a])``, so they check a model's bulk operations against
 its own one-pair answers.  ``induced`` and ``induced_apply`` are the
-materializing defaults.
+materializing defaults.  ``_tabular.TabularMdp`` once ran such loops; as a
+tabulated model it now runs the package's table route against them.
 
 Each family function is an old per-class method, written against the model's
 parameters, kernels and cost tables: the joint replenishment COO row

@@ -1,32 +1,18 @@
 """Dense-action MDP fixture for the solver tests.
 
 ``TabularMdp`` holds one N x N kernel and one cost vector per action, the
-same action ids in every state, and supplies the bulk operations the
-solvers call directly from those arrays.
+same action ids in every state, as a tabulated post-decision model: pair
+(i, a) lands on post point a N + i of one kernel that stacks every
+action's kernel, so the solvers run the package's own table route on it.
 """
 
 import numpy as np
 from scipy import sparse
 
-from _post_oracles import from_rows
-from momentagg import ControlledMdp
-from momentagg.chain import KronRows, row_kron
-from momentagg.control import _full_policy
+from momentagg.benchmarks import ActionTable, PostDecisionMdp
 
 
-class FlatRows(KronRows):
-    """Rows of a tabular model as ``KronRows`` with one factor, every
-    action's kernel stacked, over the flattened lattice: pair (i, a) is row
-    a N + i.  Its ``times`` takes one factor per lattice axis and multiplies
-    by their row-Kronecker product, as G is built."""
-
-    def times(self, mats):
-        shape = tuple(M.shape[0] for M in mats)
-        offsets = np.unravel_index(np.arange(int(np.prod(shape))), shape)
-        return super().times([row_kron(mats, offsets)])
-
-
-class TabularMdp(ControlledMdp):
+class TabularMdp(PostDecisionMdp):
     """Dense-action MDP: the same action ids everywhere, one kernel each.
 
     Parameters
@@ -50,41 +36,16 @@ class TabularMdp(ControlledMdp):
         if not (0.0 < discount < 1.0):
             raise ValueError("discount must lie in (0, 1)")
         self.lattice = lattice
-        self.kernels = list(kernels)
+        self.kernels = [sparse.vstack([K.csr for K in kernels], format="csr")]
         self.costs = costs
         self.discount = float(discount)
 
-    def action_counts(self):
-        return np.full(self.lattice.size, len(self.kernels), dtype=np.int64)
-
-    def kernel_rows_at(self, indices, actions):
-        indices, actions = self.check_actions(indices, actions)
-        stacked = sparse.vstack([K.csr for K in self.kernels], format="csr")
-        return FlatRows([stacked], actions * self.lattice.size + indices)
-
-    def costs_at(self, indices, actions):
-        indices, actions = self.check_actions(indices, actions)
-        return self.costs[actions, indices]
-
-    def greedy_at(self, indices, W):
-        indices = np.asarray(indices)
-        Q = np.stack(
-            [
-                self.costs[a, indices]
-                + self.discount * (self.kernels[a].csr[indices] @ W)
-                for a in range(len(self.kernels))
-            ]
+    def _build_table(self):
+        A, n = self.costs.shape
+        pairs = np.arange(A) * n + np.arange(n)[:, None]  # [i, a] -> post a N + i
+        return ActionTable(
+            indptr=np.arange(0, A * n + 1, A),
+            counts=np.full(n, A, dtype=np.int64),
+            posts=pairs.ravel(),
+            costs=self.costs.T.ravel(),
         )
-        actions = np.argmin(Q, axis=0)  # first minimum = lowest action id
-        return actions.astype(np.int64), Q[actions, np.arange(len(indices))]
-
-    def induced(self, policy):
-        idx, policy = self.check_actions(*_full_policy(self, policy))
-        rows = [self.kernels[a].row(i) for i, a in zip(idx, policy)]
-        P = from_rows(rows, self.lattice.size)
-        return P, self.costs[policy, idx]
-
-    def induced_apply(self, policy):
-        P, c = self.induced(policy)
-        return P.apply, c
-

@@ -142,11 +142,21 @@ def test_jrp_params_rejected_at_construction(change, message):
         ({"arrival_rates": (float("inf"), 2.8)}, "finite arrival rate"),
         ({"discount": 1.0}, "discount"),
         ({"discount": -0.5}, "discount"),
+        ({"beds": (2.5, 12)}, "integers"),
+        ({"caps": (42.5, 42)}, "integers"),
+        ({"beds": (12, NAN)}, "integers"),
     ],
 )
 def test_hospital_params_rejected_at_construction(change, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(hospital_2ward(), **change)
+
+
+def test_integral_bed_counts_and_caps_are_stored_as_ints():
+    params = dataclasses.replace(hospital_2ward(), beds=(12.0, np.int64(12)), caps=(42.0, 42))
+    assert params == hospital_2ward() and all(type(v) is int for v in params.beds + params.caps)
+    table = build_hospital(params).table  # float caps made the build raise TypeError
+    assert table.costs.tobytes() == build_hospital(hospital_2ward()).table.costs.tobytes()
 
 
 # ---------------------------------------------------------------------------

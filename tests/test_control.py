@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -101,16 +101,30 @@ def test_policy_validation():
         mdp.induced(bad)
 
 
-def test_greedy_breaks_ties_toward_lowest_action():
-    # two identical actions: the sweep must always pick action 0
-    lat = StateLattice([0], [4])
-    K = RowStochasticMatrix.identity(5)
-    costs = np.ones((2, 5))
-    mdp = TabularMdp(lat, [K, K], costs, 0.9)
-    for greedy in (mdp.greedy_at, lambda idx, W: po.greedy_at(mdp, idx, W)):
-        actions, qvals = greedy(np.arange(5), np.zeros(5))
-        assert np.all(actions == 0)
-        assert_allclose(qvals, 1.0)
+@pytest.mark.parametrize("lower, upper", [((0,), (30,)), ((-2, 0), (3, 4))], ids=["1d", "2d"])
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_breaks_ties_toward_lowest_action(lower, upper, seed):
+    # exact ties: probabilities are multiples of 1/8 (E[W] is exact for an
+    # integer W), costs are small integers, and actions 2 and 3 duplicate 0
+    # and 1; the table route gives the per-pair loop's bytes on permuted,
+    # repeated and empty index sets, and no duplicate wins its tie
+    rng = np.random.default_rng(seed)
+    lat = StateLattice(lower, upper)
+    n = lat.size
+    P = np.zeros((2, n, n))
+    for a, i in np.ndindex(2, n):
+        np.add.at(P[a, i], rng.integers(0, n, 8), 0.125)
+    C = rng.integers(0, 3, (2, n)).astype(np.float64)
+    mdp = TabularMdp(lat, [RowStochasticMatrix(K) for K in P] * 2, np.vstack([C, C]), 0.9)
+    W = rng.integers(0, 4, n).astype(np.float64)
+    # one factor with N columns contracts the flat W on a 2-D lattice too
+    assert mdp.expect(W).tobytes() == (mdp.kernels[0] @ W).tobytes()
+    for idx in (rng.permutation(n), rng.integers(0, n, 3 * n), np.zeros(0, dtype=np.int64)):
+        actions, qvals = mdp.greedy_at(idx, W)
+        want = po.greedy_at(mdp, idx, W)
+        assert _same_bytes(actions, want[0]) and _same_bytes(qvals, want[1])
+        assert np.all(actions <= 1)
+    assert 0 < np.count_nonzero(mdp.greedy_at(np.arange(n), W)[0]) < n
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +439,18 @@ def test_operator_api_matches_full_rebuild(monkeypatch, build):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**16),
-    n=st.integers(8, 40),
+    shape=st.one_of(
+        st.tuples(st.integers(8, 40)), st.tuples(st.integers(3, 7), st.integers(3, 7))
+    ),
     n_actions=st.integers(2, 4),
     max_jump=st.integers(1, 3),
 )
-def test_operator_api_matches_full_rebuild_on_tabular(seed, n, n_actions, max_jump):
-    mdp, *_ = _tabular(seed, (0,), (n - 1,), n_actions=n_actions, max_jump=max_jump)
+@example(seed=3, shape=(5, 7), n_actions=3, max_jump=1)
+def test_operator_api_matches_full_rebuild_on_tabular(seed, shape, n_actions, max_jump):
+    # on a 2-D lattice the one stacked factor spans both axes, and
+    # KronRows.times multiplies it by the Kronecker product of G's factors
+    upper = tuple(k - 1 for k in shape)
+    mdp, *_ = _tabular(seed, (0,) * len(shape), upper, n_actions=n_actions, max_jump=max_jump)
     scheme = build_scheme(build_grid(mdp.lattice, 0.45))
     with pytest.MonkeyPatch.context() as monkeypatch:
         _check_against_oracle(monkeypatch, mdp, scheme)
@@ -533,13 +553,12 @@ def test_aggregated_pi_iteration_cap_reports_last_iterate(monkeypatch):
 
 
 class _AlternatingMdp(TabularMdp):
-    """A model whose greedy step alternates between two fixed policies (at
-    the representatives, or at every state), so policy iteration cycles."""
+    """A copy of a tabular model whose greedy step alternates between two
+    fixed policies (at the representatives, or at every state), so policy
+    iteration cycles."""
 
-    def __init__(self, *args, alternate):
-        super().__init__(*args)
-        self.alternate = alternate
-        self.sweeps = 0
+    def __init__(self, base, alternate):
+        vars(self).update(vars(base), alternate=alternate, sweeps=0)
 
     def greedy_at(self, indices, W):
         actions = self.alternate[self.sweeps % 2]
@@ -553,13 +572,10 @@ def test_aggregated_pi_cycle_reports_last_iterate(monkeypatch):
     L = scheme.grid.size
     A = (np.arange(L) % 2 == 0).astype(np.int64)  # 0 -> A changes the even reps
     B = 1 - A  # A -> B sends the even reps back to their start action
-
-    def model():
-        return _AlternatingMdp(
-            base.lattice, base.kernels, base.costs, base.discount, alternate=(A, B)
-        )
-
-    report, oracle = _check_against_oracle(monkeypatch, model(), scheme, oracle_mdp=model())
+    report, oracle = _check_against_oracle(
+        monkeypatch, _AlternatingMdp(base, (A, B)), scheme,
+        oracle_mdp=_AlternatingMdp(base, (A, B)),
+    )
     assert oracle.outcome == "cycled" and oracle.iterations == 3
     assert report.converged is False
     assert _same_bytes(report.policy, A)
@@ -571,7 +587,7 @@ def test_exact_pi_cycle_reports_last_iterate():
     N = base.lattice.size
     A = (np.arange(N) % 2 == 0).astype(np.int64)
     B = 1 - A
-    mdp = _AlternatingMdp(base.lattice, base.kernels, base.costs, base.discount, alternate=(A, B))
+    mdp = _AlternatingMdp(base, (A, B))
     with pytest.raises(NumericalError, match="cycled") as err:
         exact_policy_iteration(mdp)
     report = err.value.report

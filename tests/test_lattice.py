@@ -80,13 +80,6 @@ def test_bad_bounds_rejected():
         StateLattice([0.5], [2.5])
 
 
-def test_contains_and_clamp():
-    lat = StateLattice((0, 0), (2, 2))
-    assert lat.contains((1, 1))
-    assert not lat.contains((3, 0))
-    assert np.array_equal(lat.clamp((5, -1)), (2, 0))
-
-
 def test_euclidean_norm_values():
     assert euclidean_norm((0, 0)) == 0.0
     assert euclidean_norm((3, 4)) == pytest.approx(5.0)
@@ -115,4 +108,4 @@ def test_round_trip_property(bounds, data):
     i = data.draw(st.integers(0, lat.size - 1))
     assert lat.to_index(lat.to_coords(i)) == i
     coords = lat.to_coords(i)
-    assert lat.contains(coords)
+    assert np.all((lat.lower <= coords) & (coords <= lat.upper))

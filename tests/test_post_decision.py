@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _post_oracles as po
+from _tabular import TabularMdp
 from test_hospital_table import random_actions
 from test_chain import _assert_same_csr
 from momentagg import (
@@ -34,6 +35,8 @@ from momentagg import (
     induced_mrp,
 )
 from momentagg.benchmarks import (
+    HospitalOverflowMdp,
+    JointReplenishmentMdp,
     JrpParams,
     PostDecisionMdp,
     build_hospital,
@@ -279,6 +282,16 @@ def test_n_actions_is_defined_once(name):
     counts = mdp.action_counts()
     assert mdp.action_counts() is counts and not counts.flags.writeable
     assert [mdp.n_actions(i) for i in range(0, mdp.lattice.size, 97)] == list(counts[::97])
+
+
+def test_tabulated_models_supply_only_a_table_and_kernels():
+    # the table route and every pair operation are PostDecisionMdp's;
+    # joint replenishment, with no table, keeps its own three operations
+    shared = {"greedy_at", "pairs_at", "action_counts", "kernel_rows_at", "costs_at",
+              "induced", "induced_apply", "table", "_sweep_buffers"}
+    for cls in (HospitalOverflowMdp, TabularMdp):
+        assert "_build_table" in vars(cls) and not shared & set(vars(cls)), cls
+    assert {"greedy_at", "pairs_at", "action_counts"} <= set(vars(JointReplenishmentMdp))
 
 
 @pytest.mark.parametrize(
